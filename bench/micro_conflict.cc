@@ -2,8 +2,12 @@
 // retroactive conflict checks per read-query form, and the dependency
 // computation cost of COARSE vs PRECISE (Section 5.1.2's complexity claims:
 // COARSE is linear in the logged writes; PRECISE pays for joins on the
-// database).
+// database), and the per-update cost of the logs' own bookkeeping.
 #include <benchmark/benchmark.h>
+
+#include <deque>
+#include <string>
+#include <vector>
 
 #include "ccontrol/conflict.h"
 #include "ccontrol/dependency_tracker.h"
@@ -21,6 +25,7 @@ struct Fixture {
   std::vector<Tgd> tgds;
   RelationId a, t, r;
   WriteLog wlog;
+  PhysicalWrite first_logged;  // the first write recorded into wlog
 
   explicit Fixture(size_t rows, size_t logged_writes) {
     a = *db.CreateRelation("A", {"location", "name"});
@@ -49,7 +54,9 @@ struct Fixture {
                               constant("co", rng.Uniform(64)),
                               constant("city", rng.Uniform(64))}),
           /*update_number=*/1 + i);
-      if (!w.empty()) wlog.Record(1 + i, w[0]);
+      if (w.empty()) continue;
+      if (wlog.size() == 0) first_logged = w[0];
+      wlog.Record(1 + i, w[0]);
     }
   }
 
@@ -70,9 +77,9 @@ void BM_ConflictCheckViolationQuery(benchmark::State& state) {
   ConflictChecker checker(&fix.tgds);
   Snapshot snap(&fix.db, kReadLatest);
   const ReadQueryRecord q = fix.ViolationRead();
-  const WriteLog::Entry& e = fix.wlog.entries().front();
+  const PhysicalWrite& w = fix.first_logged;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(checker.Conflicts(snap, e.write, q));
+    benchmark::DoNotOptimize(checker.Conflicts(snap, w, q));
   }
 }
 BENCHMARK(BM_ConflictCheckViolationQuery)->Range(256, 16384);
@@ -87,10 +94,10 @@ void BM_ConflictCheckCorrectionQueries(benchmark::State& state) {
   const ReadQueryRecord more_specific = ReadQueryRecord::MoreSpecific(
       fix.t, {fix.db.InternConstant("name1"), n, n});
   const ReadQueryRecord occurrence = ReadQueryRecord::NullOccurrence(n);
-  const WriteLog::Entry& e = fix.wlog.entries().front();
+  const PhysicalWrite& w = fix.first_logged;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(checker.Conflicts(snap, e.write, more_specific));
-    benchmark::DoNotOptimize(checker.Conflicts(snap, e.write, occurrence));
+    benchmark::DoNotOptimize(checker.Conflicts(snap, w, more_specific));
+    benchmark::DoNotOptimize(checker.Conflicts(snap, w, occurrence));
   }
 }
 BENCHMARK(BM_ConflictCheckCorrectionQueries)->Range(256, 16384);
@@ -132,6 +139,102 @@ void BM_DependencyComputation(benchmark::State& state) {
 }
 BENCHMARK(BM_DependencyComputation)
     ->ArgsProduct({{16, 64, 256, 1024}, {0, 1}});
+
+void BM_LogBookkeeping(benchmark::State& state) {
+  // The concurrency-control bookkeeping of one update's life at the serial
+  // engine's steady state: state.range(0) live updates (~6 logged writes
+  // and ~6 logged reads each, COARSE dependencies) in the write log, read
+  // log and tracker. One iteration is one update's Record (writes, read
+  // dependencies, reads) plus the Erase of one live update from all three —
+  // the oldest (a commit) four times in five, a middle one (an abort) the
+  // fifth time — so the live population stays constant. No database work:
+  // this is the ccontrol layer alone.
+  constexpr size_t kWritesPerUpdate = 6;
+  constexpr size_t kReadsPerUpdate = 6;
+  const size_t live = static_cast<size_t>(state.range(0));
+  Fixture fix(256, 0);
+  Rng rng(11);
+  std::vector<Value> nulls;
+  for (int i = 0; i < 64; ++i) nulls.push_back(fix.db.FreshNull());
+  auto value = [&](const char* prefix) {
+    return rng.Chance(0.3) ? nulls[rng.Uniform(nulls.size())]
+                           : fix.db.InternConstant(
+                                 std::string(prefix) +
+                                 std::to_string(rng.Uniform(64)));
+  };
+  // Pregenerated pools, cycled through: the loop times bookkeeping only.
+  std::vector<PhysicalWrite> writes(4096);
+  for (size_t i = 0; i < writes.size(); ++i) {
+    PhysicalWrite& w = writes[i];
+    w.row = static_cast<RowId>(i);
+    const uint64_t pick = rng.Uniform(3);
+    w.rel = pick == 0 ? fix.a : pick == 1 ? fix.t : fix.r;
+    const size_t arity = w.rel == fix.a ? 2 : 3;
+    TupleData data;
+    for (size_t c = 0; c < arity; ++c) data.push_back(value("v"));
+    if (rng.Chance(0.2)) {
+      w.kind = WriteKind::kDelete;
+      w.old_data = std::move(data);
+    } else {
+      w.kind = WriteKind::kInsert;
+      w.data = std::move(data);
+    }
+  }
+  std::vector<ReadQueryRecord> reads;
+  for (size_t i = 0; i < 4096; ++i) {
+    const uint64_t pick = rng.Uniform(10);
+    if (pick < 6) {
+      reads.push_back(ReadQueryRecord::Violation(
+          0, /*pinned_on_lhs=*/true, 0, {value("loc"), value("name")}));
+    } else if (pick < 9) {
+      reads.push_back(ReadQueryRecord::MoreSpecific(
+          fix.t, {value("name"), value("co"), value("city")}));
+    } else {
+      reads.push_back(
+          ReadQueryRecord::NullOccurrence(nulls[rng.Uniform(nulls.size())]));
+    }
+  }
+
+  WriteLog wlog;
+  ReadLog rlog(&fix.tgds);
+  DependencyTracker tracker(TrackerKind::kCoarse, &fix.tgds);
+  Snapshot snap(&fix.db, kReadLatest);
+  std::deque<uint64_t> live_numbers;
+  std::vector<ReadQueryRecord> step_reads;
+  uint64_t next_number = 1;
+  size_t cursor = 0;
+  auto begin_update = [&]() {
+    const uint64_t u = next_number++;
+    step_reads.clear();
+    for (size_t i = 0; i < kWritesPerUpdate; ++i) {
+      wlog.Record(u, writes[(cursor + i) % writes.size()]);
+    }
+    for (size_t i = 0; i < kReadsPerUpdate; ++i) {
+      step_reads.push_back(reads[(cursor + i) % reads.size()]);
+    }
+    cursor += kWritesPerUpdate;
+    tracker.OnReads(snap, u, step_reads, wlog);
+    for (ReadQueryRecord& q : step_reads) rlog.Record(u, std::move(q));
+    live_numbers.push_back(u);
+  };
+  auto erase = [&](size_t pos) {
+    const uint64_t u = live_numbers[pos];
+    live_numbers.erase(live_numbers.begin() + static_cast<ptrdiff_t>(pos));
+    wlog.EraseUpdate(u);
+    rlog.EraseUpdate(u);
+    tracker.EraseUpdate(u);
+  };
+  while (live_numbers.size() < live) begin_update();
+  uint64_t iteration = 0;
+  for (auto _ : state) {
+    begin_update();
+    erase(++iteration % 5 == 0 ? live_numbers.size() / 2 : 0);
+    benchmark::ClobberMemory();
+  }
+  state.counters["logged_writes"] = static_cast<double>(wlog.size());
+  state.counters["edges"] = static_cast<double>(tracker.num_edges());
+}
+BENCHMARK(BM_LogBookkeeping)->Arg(500);
 
 }  // namespace
 }  // namespace youtopia

@@ -1,5 +1,7 @@
 #include "ccontrol/dependency_tracker.h"
 
+#include <algorithm>
+
 #include "query/specificity.h"
 
 namespace youtopia {
@@ -21,26 +23,41 @@ void DependencyTracker::OnReads(const Snapshot& snap, uint64_t reader,
                                 const WriteLog& wlog) {
   if (kind_ == TrackerKind::kNaive) return;  // nothing tracked
 
+  // Every edge of this call ends at `reader`, so its writer set is looked
+  // up once and each candidate writer costs one membership probe.
+  std::unordered_set<uint64_t>& writers = writers_of_[reader];
+  auto add_edge = [&](uint64_t writer) {
+    if (writer < reader && writers.insert(writer).second) {
+      readers_of_[writer].push_back(reader);
+    }
+  };
+
+  // COARSE depends on every writer of any relation of any violation query's
+  // tgd. With the reader fixed, that is the writers of the union of those
+  // relations — gathered once per call, not once per query.
+  relations_scratch_.clear();
   for (const ReadQueryRecord& q : reads) {
     switch (q.kind) {
       case ReadQueryKind::kViolation: {
+        const Tgd& tgd = (*tgds_)[static_cast<size_t>(q.tgd_id)];
         if (kind_ == TrackerKind::kCoarse) {
-          // Relation granularity: any writer of any relation of the tgd.
-          const Tgd& tgd = (*tgds_)[static_cast<size_t>(q.tgd_id)];
-          writers_scratch_.clear();
           for (RelationId rel : tgd.all_relations()) {
-            wlog.WritersOf(rel, &writers_scratch_);
-          }
-          for (uint64_t writer : writers_scratch_) {
-            if (writer < reader) AddEdge(writer, reader);
+            if (std::find(relations_scratch_.begin(), relations_scratch_.end(),
+                          rel) == relations_scratch_.end()) {
+              relations_scratch_.push_back(rel);
+            }
           }
         } else {
           // PRECISE: run the retroactive check against each logged write.
-          for (const WriteLog::Entry& e : wlog.entries()) {
-            if (e.update_number >= reader) continue;
-            if (checker_.Conflicts(snap, e.write, q)) {
-              AddEdge(e.update_number, reader);
-            }
+          // A write outside the tgd's relations never conflicts (the
+          // checker's first test), so only those relations are walked.
+          for (RelationId rel : tgd.all_relations()) {
+            wlog.ForEachWriteTo(rel, [&](uint64_t writer,
+                                         const PhysicalWrite& w) {
+              if (writer < reader && checker_.Conflicts(snap, w, q)) {
+                add_edge(writer);
+              }
+            });
           }
         }
         break;
@@ -48,68 +65,37 @@ void DependencyTracker::OnReads(const Snapshot& snap, uint64_t reader,
       // Correction queries are the easy case for both algorithms: exact
       // dependencies straight off the in-memory write log, no database
       // access (Section 5.1.1).
-      case ReadQueryKind::kMoreSpecific: {
-        for (const WriteLog::Entry& e : wlog.entries()) {
-          if (e.update_number >= reader) continue;
-          const PhysicalWrite& w = e.write;
-          if (w.rel != q.rel) continue;
+      case ReadQueryKind::kMoreSpecific:
+        wlog.ForEachWriteTo(q.rel, [&](uint64_t writer,
+                                       const PhysicalWrite& w) {
+          if (writer >= reader) return;
           const bool hits =
               (!w.data.empty() && IsMoreSpecific(w.data, q.tuple)) ||
               (!w.old_data.empty() && IsMoreSpecific(w.old_data, q.tuple));
-          if (hits) AddEdge(e.update_number, reader);
-        }
+          if (hits) add_edge(writer);
+        });
         break;
-      }
-      case ReadQueryKind::kNullOccurrence: {
-        for (const WriteLog::Entry& e : wlog.entries()) {
-          if (e.update_number >= reader) continue;
-          const PhysicalWrite& w = e.write;
-          const bool hits =
-              (!w.data.empty() && ContainsNull(w.data, q.null_value)) ||
-              (!w.old_data.empty() && ContainsNull(w.old_data, q.null_value));
-          if (hits) AddEdge(e.update_number, reader);
-        }
+      case ReadQueryKind::kNullOccurrence:
+        // The null index yields exactly the writers carrying the null.
+        wlog.ForEachWriterCarrying(q.null_value, add_edge);
         break;
-      }
     }
   }
-}
-
-const std::unordered_set<uint64_t>& DependencyTracker::ReadersOf(
-    uint64_t writer) const {
-  auto it = readers_of_.find(writer);
-  return it == readers_of_.end() ? empty_ : it->second;
+  for (RelationId rel : relations_scratch_) wlog.ForEachWriterOf(rel, add_edge);
+  if (writers.empty()) writers_of_.erase(reader);
 }
 
 void DependencyTracker::EraseUpdate(uint64_t update_number) {
-  // As a writer: drop its reader set.
-  auto rit = readers_of_.find(update_number);
-  if (rit != readers_of_.end()) {
-    for (uint64_t reader : rit->second) {
-      auto wit = writers_of_.find(reader);
-      if (wit != writers_of_.end()) wit->second.erase(update_number);
-    }
-    num_edges_ -= rit->second.size();
-    readers_of_.erase(rit);
-  }
-  // As a reader: remove it from every writer's reader set.
-  auto wit = writers_of_.find(update_number);
-  if (wit != writers_of_.end()) {
-    for (uint64_t writer : wit->second) {
-      auto r = readers_of_.find(writer);
-      if (r != readers_of_.end() && r->second.erase(update_number) > 0) {
-        --num_edges_;
-      }
-    }
-    writers_of_.erase(wit);
-  }
+  readers_of_.erase(update_number);
+  writers_of_.erase(update_number);
 }
 
-void DependencyTracker::AddEdge(uint64_t writer, uint64_t reader) {
-  if (readers_of_[writer].insert(reader).second) {
-    writers_of_[reader].insert(writer);
-    ++num_edges_;
+size_t DependencyTracker::num_edges() const {
+  size_t n = 0;
+  for (const auto& [reader, writers] : writers_of_) {
+    for (uint64_t writer : writers) n += readers_of_.count(writer);
   }
+  return n;
 }
 
 }  // namespace youtopia

@@ -251,7 +251,7 @@ void IntraComponentCc::CollectClosureLocked(
         request(it->first);
       }
     } else {
-      for (uint64_t m : tracker_.ReadersOf(i)) request(m);
+      tracker_.ForEachReaderOf(i, request);
     }
   }
 }

@@ -12,43 +12,53 @@ void ReadLog::Record(uint64_t update_number, ReadQueryRecord q) {
   // pay the full rehash here.
   const uint64_t fp =
       q.fingerprint != 0 ? q.fingerprint : ReadQueryFingerprint(q);
-  if (!seen_[update_number].insert(fp).second) return;  // duplicate query
-  const ReadQueryKind kind = q.kind;
-  const RelationId rel = q.rel;
-  const Value null_value = q.null_value;
-  const int tgd_id = q.tgd_id;
-  logs_[update_number].push_back(std::move(q));
-  ++total_queries_;
-  switch (kind) {
+  UpdateLog& log = logs_[update_number];
+  if (!log.seen.insert(fp).second) return;  // duplicate query
+  auto join_relation = [&](RelationId r) {
+    if (readers_by_relation_[r].insert(update_number).second) {
+      log.relations.push_back(r);
+    }
+  };
+  switch (q.kind) {
     case ReadQueryKind::kViolation: {
-      const Tgd& tgd = (*tgds_)[static_cast<size_t>(tgd_id)];
-      for (RelationId r : tgd.all_relations()) {
-        readers_by_relation_[r].insert(update_number);
-      }
+      const Tgd& tgd = (*tgds_)[static_cast<size_t>(q.tgd_id)];
+      for (RelationId r : tgd.all_relations()) join_relation(r);
       break;
     }
     case ReadQueryKind::kMoreSpecific:
-      readers_by_relation_[rel].insert(update_number);
+      join_relation(q.rel);
       break;
     case ReadQueryKind::kNullOccurrence:
-      readers_by_null_[null_value.id()].insert(update_number);
+      if (readers_by_null_[q.null_value.id()].insert(update_number).second) {
+        log.null_ids.push_back(q.null_value.id());
+      }
       break;
   }
+  log.queries.push_back(std::move(q));
+  ++total_queries_;
 }
 
 void ReadLog::EraseUpdate(uint64_t update_number) {
   auto it = logs_.find(update_number);
-  if (it != logs_.end()) {
-    total_queries_ -= it->second.size();
-    logs_.erase(it);
+  if (it == logs_.end()) return;
+  const UpdateLog& log = it->second;
+  for (RelationId r : log.relations) {
+    readers_by_relation_.find(r)->second.erase(update_number);
   }
-  seen_.erase(update_number);
-  for (auto& [rel, readers] : readers_by_relation_) {
-    readers.erase(update_number);
+  for (uint64_t null_id : log.null_ids) {
+    auto readers = readers_by_null_.find(null_id);
+    readers->second.erase(update_number);
+    if (readers->second.empty()) readers_by_null_.erase(readers);
   }
-  for (auto& [null_id, readers] : readers_by_null_) {
-    readers.erase(update_number);
-  }
+  total_queries_ -= log.queries.size();
+  logs_.erase(it);
+}
+
+size_t ReadLog::index_registrations() const {
+  size_t n = 0;
+  for (const auto& [rel, readers] : readers_by_relation_) n += readers.size();
+  for (const auto& [null_id, readers] : readers_by_null_) n += readers.size();
+  return n;
 }
 
 bool ReadLog::MayTouch(const ReadQueryRecord& q, const PhysicalWrite& w) const {

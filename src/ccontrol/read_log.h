@@ -23,6 +23,16 @@ namespace youtopia {
 // Exact duplicates (chases re-pose the same violation query on every
 // revalidation) are deduplicated per update.
 //
+// Cost contract — no operation scans the whole log:
+//   * Record(u, q)  — O(1) amortized: a fingerprint dedup probe, an append,
+//     and one reader-set insert per relation of q (a violation query's tgd
+//     relations, else q.rel) or for its null. Each reader set u joins is
+//     remembered with u.
+//   * EraseUpdate(u) — u's own log plus exactly the reader sets u joined;
+//     a null's reader set goes once empty (relations are few and stay).
+//   * ForEachCandidate[Batch](writes) — the readers indexed under the
+//     writes' relations and nulls, each reader's log walked once per call.
+//
 // Threading contract: NOT internally synchronized, and the const candidate
 // walks are NOT const-thread-safe — they reuse mutable scratch buffers
 // (order_scratch_ et al.) to keep steady-state steps allocation-free, so
@@ -79,10 +89,14 @@ class ReadLog {
     // retains capacity — steady-state steps allocate nothing.
     order_scratch_.clear();
     for (uint32_t i = 0; i < writes.size(); ++i) order_scratch_.push_back(i);
-    std::stable_sort(order_scratch_.begin(), order_scratch_.end(),
-                     [&](uint32_t a, uint32_t b) {
-                       return writes[a].rel < writes[b].rel;
-                     });
+    // Ties broken by index: the order of a stable sort by relation, without
+    // the temporary buffer std::stable_sort allocates on every call.
+    std::sort(order_scratch_.begin(), order_scratch_.end(),
+              [&](uint32_t a, uint32_t b) {
+                return writes[a].rel != writes[b].rel
+                           ? writes[a].rel < writes[b].rel
+                           : a < b;
+              });
     range_scratch_.clear();
     for (uint32_t i = 0; i < order_scratch_.size();) {
       const RelationId rel = writes[order_scratch_[i]].rel;
@@ -126,7 +140,7 @@ class ReadLog {
       if (!visited_scratch_.insert(reader).second) return;
       auto it = logs_.find(reader);
       if (it == logs_.end()) return;
-      for (const ReadQueryRecord& q : it->second) {
+      for (const ReadQueryRecord& q : it->second.queries) {
         switch (q.kind) {
           case ReadQueryKind::kViolation: {
             const Tgd& tgd = (*tgds_)[static_cast<size_t>(q.tgd_id)];
@@ -166,12 +180,17 @@ class ReadLog {
 
   const std::vector<ReadQueryRecord>* QueriesOf(uint64_t update_number) const {
     auto it = logs_.find(update_number);
-    return it == logs_.end() ? nullptr : &it->second;
+    return it == logs_.end() ? nullptr : &it->second.queries;
   }
 
   void EraseUpdate(uint64_t update_number);
 
   size_t total_queries() const { return total_queries_; }
+
+  // Reader registrations across the relation and null indexes (O(index)),
+  // and the number of nulls indexed: with every update erased both are 0.
+  size_t index_registrations() const;
+  size_t indexed_nulls() const { return readers_by_null_.size(); }
 
  private:
   // Fast pre-filter: can `w` possibly affect `q`?
@@ -211,8 +230,16 @@ class ReadLog {
   mutable std::vector<RelRange> range_scratch_;
   mutable std::vector<uint32_t> null_write_scratch_;
   mutable std::unordered_set<uint64_t> visited_scratch_;
-  std::unordered_map<uint64_t, std::vector<ReadQueryRecord>> logs_;
-  std::unordered_map<uint64_t, std::unordered_set<uint64_t>> seen_;
+  // One live update's log: its distinct queries (fingerprints in `seen`)
+  // and the reader sets it joined, which EraseUpdate leaves again.
+  struct UpdateLog {
+    std::vector<ReadQueryRecord> queries;
+    std::unordered_set<uint64_t> seen;
+    std::vector<RelationId> relations;
+    std::vector<uint64_t> null_ids;
+  };
+
+  std::unordered_map<uint64_t, UpdateLog> logs_;
   std::unordered_map<RelationId, std::unordered_set<uint64_t>>
       readers_by_relation_;
   std::unordered_map<uint64_t, std::unordered_set<uint64_t>> readers_by_null_;

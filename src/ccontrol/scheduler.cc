@@ -195,7 +195,7 @@ void Scheduler::CascadeFrom(const std::unordered_set<uint64_t>& direct) {
         request(*it);
       }
     } else {
-      for (uint64_t m : tracker_.ReadersOf(i)) request(m);
+      tracker_.ForEachReaderOf(i, request);
     }
   }
 

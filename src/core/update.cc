@@ -138,8 +138,17 @@ void Update::StepApply(Database* db, StepResult* res) {
   }
   size_t replace_idx = 0;
   for (const WriteOp& op : writes) {
-    if (op.kind == WriteOp::Kind::kInsert && options_.log_reads) {
-      res->reads.push_back(ReadQueryRecord::MoreSpecific(op.rel, op.data));
+    if (options_.log_reads) {
+      if (op.kind == WriteOp::Kind::kInsert) {
+        res->reads.push_back(ReadQueryRecord::MoreSpecific(op.rel, op.data));
+      } else if (op.kind == WriteOp::Kind::kNullReplace) {
+        // A replacement reads every tuple the null occurs in: a later
+        // lower-numbered write that adds (or removes) an occurrence must
+        // retroactively conflict. Unification already logged this read
+        // for chase-generated replacements (the read log dedups the
+        // repeat); an initial user replacement is logged only here.
+        res->reads.push_back(ReadQueryRecord::NullOccurrence(op.from));
+      }
     }
     const std::vector<TupleRef>* occs =
         op.kind == WriteOp::Kind::kNullReplace &&
@@ -318,7 +327,7 @@ Update::ForwardRepair Update::GenerateForwardRepair(Database* db,
       res->reads.push_back(ReadQueryRecord::MoreSpecific(atom.rel, ft.data));
     }
     FindMoreSpecificRows(snap, atom.rel, ft.data, /*exclude_equal=*/false,
-                         &ft.more_specific);
+                         &ft.more_specific, &candidates_scratch_);
     any_ambiguous |= !ft.more_specific.empty();
     pf.tuples.push_back(std::move(ft));
   }
@@ -361,7 +370,7 @@ void Update::ProcessPositiveFrontier(Database* db, FrontierAgent* agent,
       res->reads.push_back(ReadQueryRecord::MoreSpecific(ft.rel, ft.data));
     }
     FindMoreSpecificRows(snap, ft.rel, ft.data, /*exclude_equal=*/false,
-                         &ft.more_specific);
+                         &ft.more_specific, &candidates_scratch_);
 
     // An exact copy in the database satisfies this atom outright.
     bool exact = false;

@@ -1,30 +1,35 @@
 #include "query/specificity.h"
 
-#include <algorithm>
-#include <unordered_map>
-
 namespace youtopia {
 
 bool IsMoreSpecific(const TupleData& specific, const TupleData& general) {
   if (specific.size() != general.size()) return false;
-  std::unordered_map<Value, Value, ValueHash> f;
-  for (size_t i = 0; i < general.size(); ++i) {
+  // f is a function iff every repeat of a null in `general` maps to the
+  // value its first occurrence maps to; comparing each position against
+  // that first occurrence decides it without building f. Tuples are a few
+  // columns wide, so the quadratic back-scan beats any hashing.
+  const size_t n = general.size();
+  for (size_t i = 0; i < n; ++i) {
     const Value& g = general[i];
-    const Value& s = specific[i];
     if (g.is_constant()) {
       // f must be the identity on constants.
-      if (!(s == g)) return false;
+      if (specific[i] != g) return false;
       continue;
     }
-    auto [it, inserted] = f.emplace(g, s);
-    if (!inserted && !(it->second == s)) return false;  // not a function
+    for (size_t j = 0; j < i; ++j) {
+      if (general[j] == g) {
+        if (specific[j] != specific[i]) return false;  // not a function
+        break;
+      }
+    }
   }
   return true;
 }
 
 void FindMoreSpecificRows(const Snapshot& snap, RelationId rel,
                           const TupleData& data, bool exclude_equal,
-                          std::vector<RowId>* out) {
+                          std::vector<RowId>* out,
+                          std::vector<RowId>* candidates) {
   // If the tuple has a constant position, candidates must agree there
   // (f is the identity on constants), so the column index applies.
   int const_col = -1;
@@ -39,10 +44,10 @@ void FindMoreSpecificRows(const Snapshot& snap, RelationId rel,
     if (IsMoreSpecific(stored, data)) out->push_back(row);
   };
   if (const_col >= 0) {
-    std::vector<RowId> candidates;  // deduped by CandidateRows
+    candidates->clear();  // deduped by CandidateRows
     snap.CandidateRows(rel, static_cast<size_t>(const_col),
-                       data[static_cast<size_t>(const_col)], &candidates);
-    for (RowId row : candidates) {
+                       data[static_cast<size_t>(const_col)], candidates);
+    for (RowId row : *candidates) {
       const TupleData* stored = snap.VisibleData(rel, row);
       if (stored != nullptr) consider(row, *stored);
     }

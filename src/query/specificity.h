@@ -19,9 +19,13 @@ bool IsMoreSpecific(const TupleData& specific, const TupleData& general);
 // appends every visible row of `rel` whose content is more specific than
 // `data` (excluding rows whose content is literally equal when
 // `exclude_equal` is set, used when the tuple itself is already stored).
+// `candidates` is caller-owned scratch for the index probe (cleared here,
+// contents unspecified afterwards), so a chase step's repeated correction
+// queries reuse one buffer instead of allocating per call.
 void FindMoreSpecificRows(const Snapshot& snap, RelationId rel,
                           const TupleData& data, bool exclude_equal,
-                          std::vector<RowId>* out);
+                          std::vector<RowId>* out,
+                          std::vector<RowId>* candidates);
 
 }  // namespace youtopia
 

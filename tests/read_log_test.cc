@@ -183,12 +183,13 @@ TEST(WriteLogTest, RecordAndEraseMaintainWriterSets) {
   wlog.Record(2, w);
   EXPECT_EQ(wlog.size(), 3u);
   std::unordered_set<uint64_t> writers;
-  wlog.WritersOf(fig.T, &writers);
+  auto collect = [&](uint64_t u) { writers.insert(u); };
+  wlog.ForEachWriterOf(fig.T, collect);
   EXPECT_EQ(writers.size(), 2u);
   wlog.EraseUpdate(1);
   EXPECT_EQ(wlog.size(), 1u);
   writers.clear();
-  wlog.WritersOf(fig.T, &writers);
+  wlog.ForEachWriterOf(fig.T, collect);
   EXPECT_EQ(writers.size(), 1u);
   size_t entries_of_2 = 0;
   wlog.ForEachEntryOf(2, [&](const PhysicalWrite&) { ++entries_of_2; });

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "test_util.h"
+#include "tgd/parser.h"
 
 namespace youtopia {
 namespace {
@@ -213,6 +217,69 @@ TEST(SchedulerTest, FinalDatabaseSatisfiesMappingsUnderContention) {
   sched.RunToCompletion();
   EXPECT_EQ(sched.stats().updates_completed, 20u);
   EXPECT_TRUE(fig.Satisfied());
+}
+
+// P(x) & W(x, y) -> Q(y) over W(a, n) with n a labeled null. Inserting
+// P(a) writes nothing with n in its first step and derives Q(n) in its
+// second, so a replacement of n submitted after it (a higher number) runs
+// its first step in between.
+struct ReplaceRaceFixture {
+  Database db;
+  std::vector<Tgd> tgds;
+  RelationId P, W, Q;
+  Value a, b, n;
+
+  ReplaceRaceFixture() {
+    P = *db.CreateRelation("P", {"x"});
+    W = *db.CreateRelation("W", {"x", "y"});
+    Q = *db.CreateRelation("Q", {"y"});
+    TgdParser parser(&db.catalog(), &db.symbols());
+    tgds.push_back(*parser.ParseTgd("P(x) & W(x, y) -> Q(y)"));
+    a = db.InternConstant("a");
+    b = db.InternConstant("b");
+    n = db.FreshNull();
+    db.Apply(WriteOp::Insert(W, {a, n}), /*update_number=*/0);
+  }
+
+  std::vector<TupleData> Rows(RelationId rel) const {
+    std::vector<TupleData> rows;
+    db.relation(rel).ForEachVisible(
+        kReadLatest, [&](RowId, const TupleData& d) { rows.push_back(d); });
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  }
+};
+
+TEST(SchedulerTest, InitialNullReplaceRedoneAfterLowerInsertOfTheNull) {
+  // The replacement reads every occurrence of n. The lower-numbered insert
+  // of Q(n), applied after it, adds an occurrence that replacement never
+  // saw: the replace must abort and redo, or Q(n) would survive it.
+  for (TrackerKind kind :
+       {TrackerKind::kNaive, TrackerKind::kCoarse, TrackerKind::kPrecise}) {
+    SCOPED_TRACE(TrackerKindName(kind));
+    ReplaceRaceFixture fix;
+    ScriptedAgent agent;
+    SchedulerOptions opts;
+    opts.tracker = kind;
+    Scheduler sched(&fix.db, &fix.tgds, &agent, opts);
+    sched.Submit(WriteOp::Insert(fix.P, {fix.a}));
+    sched.Submit(WriteOp::NullReplace(fix.n, fix.b));
+    sched.RunToCompletion();
+    EXPECT_EQ(sched.stats().updates_completed, 2u);
+    EXPECT_GE(sched.stats().direct_conflict_aborts, 1u);
+    EXPECT_EQ(fix.Rows(fix.Q), std::vector<TupleData>{{fix.b}});
+
+    // Serial replay of the committed ops in number order.
+    ReplaceRaceFixture serial;
+    uint64_t number = 1;
+    for (const WriteOp& op : sched.CommittedOpsInOrder()) {
+      Update u(number++, op, &serial.tgds);
+      u.RunToCompletion(&serial.db, &agent);
+    }
+    for (RelationId rel : {fix.P, fix.W, fix.Q}) {
+      EXPECT_EQ(fix.Rows(rel), serial.Rows(rel)) << "relation " << rel;
+    }
+  }
 }
 
 }  // namespace

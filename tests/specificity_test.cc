@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -71,7 +73,9 @@ TEST(SpecificityTest, DuplicateAndStaleIndexCandidatesReportRowOnce) {
 
   Snapshot snap(&db, kReadLatest);
   std::vector<RowId> out;
-  FindMoreSpecificRows(snap, r, {a, b}, /*exclude_equal=*/false, &out);
+  std::vector<RowId> scratch;
+  FindMoreSpecificRows(snap, r, {a, b}, /*exclude_equal=*/false, &out,
+                       &scratch);
   ASSERT_EQ(out.size(), 1u);  // row 0 exactly once, row 1 filtered as stale
   EXPECT_EQ(out[0], w0[0].row);
 }
@@ -104,6 +108,68 @@ TEST(SpecificityTest, TransitivityOnRandomTuples) {
   EXPECT_GT(checked, 0u);
 }
 
+// Definition 2.4 taken literally: build f position by position and fail
+// when it stops being a function or moves a constant.
+bool ReferenceIsMoreSpecific(const TupleData& specific,
+                             const TupleData& general) {
+  if (specific.size() != general.size()) return false;
+  std::unordered_map<Value, Value, ValueHash> f;
+  for (size_t i = 0; i < general.size(); ++i) {
+    if (general[i].is_constant()) {
+      if (specific[i] != general[i]) return false;
+      continue;
+    }
+    auto [it, inserted] = f.emplace(general[i], specific[i]);
+    if (!inserted && it->second != specific[i]) return false;
+  }
+  return true;
+}
+
+TEST(SpecificityTest, MatchesMapBasedReferenceOnRandomTuples) {
+  // Small constant and null pools make repeated nulls, shared values and
+  // accidental matches common; one pair in eight mismatches in arity. The
+  // `general` side is also derived from `specific` by generalizing
+  // positions, so the true branch is exercised at every arity.
+  Rng rng(20260417);
+  auto random_value = [&]() {
+    return rng.Chance(0.5) ? Value::Constant(rng.Uniform(3))
+                           : Value::Null(rng.Uniform(4));
+  };
+  auto random_tuple = [&](size_t arity) {
+    TupleData t;
+    for (size_t i = 0; i < arity; ++i) t.push_back(random_value());
+    return t;
+  };
+  size_t agree_true = 0;
+  size_t agree_false = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    const size_t arity = rng.Uniform(9);  // 0..8
+    const TupleData specific = random_tuple(arity);
+    TupleData general;
+    if (rng.Chance(0.5)) {
+      general = specific;
+      for (Value& v : general) {
+        if (rng.Chance(0.4)) v = Value::Null(rng.Uniform(4));
+      }
+    } else {
+      general = random_tuple(arity);
+    }
+    if (rng.Chance(0.125)) {
+      if (rng.Chance(0.5) || general.empty()) {
+        general.push_back(random_value());
+      } else {
+        general.pop_back();
+      }
+    }
+    const bool expected = ReferenceIsMoreSpecific(specific, general);
+    ASSERT_EQ(IsMoreSpecific(specific, general), expected)
+        << "iter " << iter << " arity " << arity;
+    ++(expected ? agree_true : agree_false);
+  }
+  EXPECT_GT(agree_true, 1000u);
+  EXPECT_GT(agree_false, 1000u);
+}
+
 TEST(FindMoreSpecificTest, UsesConstantColumnIndex) {
   testing_util::Figure2 fig;
   Snapshot snap(&fig.db, kReadLatest);
@@ -113,7 +179,9 @@ TEST(FindMoreSpecificTest, UsesConstantColumnIndex) {
   const TupleData probe{fig.Const("ABC"), fig.Const("Niagara Falls"),
                         fig.db.FreshNull()};
   std::vector<RowId> rows;
-  FindMoreSpecificRows(snap, fig.R, probe, /*exclude_equal=*/false, &rows);
+  std::vector<RowId> scratch;
+  FindMoreSpecificRows(snap, fig.R, probe, /*exclude_equal=*/false, &rows,
+                       &scratch);
   EXPECT_TRUE(rows.empty());
 }
 
@@ -123,7 +191,9 @@ TEST(FindMoreSpecificTest, FindsCandidatesForGeneralTuple) {
   // C(x) is generalized by every city.
   const TupleData probe{fig.db.FreshNull()};
   std::vector<RowId> rows;
-  FindMoreSpecificRows(snap, fig.C, probe, /*exclude_equal=*/false, &rows);
+  std::vector<RowId> scratch;
+  FindMoreSpecificRows(snap, fig.C, probe, /*exclude_equal=*/false, &rows,
+                       &scratch);
   EXPECT_EQ(rows.size(), 2u);
 }
 
@@ -133,8 +203,9 @@ TEST(FindMoreSpecificTest, ExcludeEqualSkipsExactCopy) {
   const TupleData probe = fig.Row({"Ithaca"});
   std::vector<RowId> with_equal;
   std::vector<RowId> without_equal;
-  FindMoreSpecificRows(snap, fig.C, probe, false, &with_equal);
-  FindMoreSpecificRows(snap, fig.C, probe, true, &without_equal);
+  std::vector<RowId> scratch;
+  FindMoreSpecificRows(snap, fig.C, probe, false, &with_equal, &scratch);
+  FindMoreSpecificRows(snap, fig.C, probe, true, &without_equal, &scratch);
   EXPECT_EQ(with_equal.size(), 1u);
   EXPECT_TRUE(without_equal.empty());
 }
@@ -146,7 +217,8 @@ TEST(FindMoreSpecificTest, RespectsVisibility) {
   const TupleData probe{fig.db.FreshNull()};
   std::vector<RowId> rows;
   Snapshot snap(&fig.db, 5);
-  FindMoreSpecificRows(snap, fig.C, probe, false, &rows);
+  std::vector<RowId> scratch;
+  FindMoreSpecificRows(snap, fig.C, probe, false, &rows, &scratch);
   EXPECT_EQ(rows.size(), 1u);  // only Syracuse remains
 }
 
