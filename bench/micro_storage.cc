@@ -98,9 +98,9 @@ void BM_CompositeIndexLookup(benchmark::State& state) {
 BENCHMARK(BM_CompositeIndexLookup)->Range(1024, 65536);
 
 void BM_IndexEntryDriftUnderAborts(benchmark::State& state) {
-  // The append-only indexes strand entries whenever an update's versions
-  // are removed (abort undo). Measures the removal + threshold-compaction
-  // cost and reports the drift the compaction pass reclaims.
+  // Bulk removal of an aborted update that wrote half the base volume.
+  // Measures the removal cost and reports the index entries the update
+  // added and those left after its removal (0: removal unindexes exactly).
   const size_t base_rows = static_cast<size_t>(state.range(0));
   double drift_before = 0;
   double drift_after = 0;
@@ -114,8 +114,8 @@ void BM_IndexEntryDriftUnderAborts(benchmark::State& state) {
                0);
     }
     const size_t entries_live = db.relation(rel).IndexEntryCount();
-    // An aborting update writes half the base volume — enough strand to
-    // cross the threshold that triggers compaction on removal.
+    // An aborting update writes half the base volume — enough removals to
+    // trigger a sketch refresh.
     for (size_t i = 0; i < base_rows / 2; ++i) {
       db.Apply(WriteOp::Insert(rel, {Value::Constant(i % 97),
                                      Value::Constant(base_rows + i)}),
@@ -124,7 +124,7 @@ void BM_IndexEntryDriftUnderAborts(benchmark::State& state) {
     drift_before +=
         static_cast<double>(db.relation(rel).IndexEntryCount() - entries_live);
     state.ResumeTiming();
-    db.RemoveVersionsOf(9);  // triggers threshold compaction
+    db.RemoveVersionsOf(9);  // unindexes exactly, then refreshes sketches
     state.PauseTiming();
     drift_after +=
         static_cast<double>(db.relation(rel).IndexEntryCount()) -
@@ -163,6 +163,44 @@ void BM_AbortUndoTargeted(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AbortUndoTargeted)->Range(1024, 65536);
+
+void BM_AbortUndo(benchmark::State& state) {
+  // Per-undo cost of RemoveRowVersions against relation size. Each
+  // iteration an aborting update rewrites 64 random rows (a fresh value in
+  // column 1, the shape of a null replacement), then is undone row by row;
+  // only the undo is timed. The relation itself never grows, so a cost
+  // that rises with its size is work proportional to the relation (an
+  // index rebuild), not to the undo.
+  const size_t n = static_cast<size_t>(state.range(0));
+  Database db;
+  const RelationId rel = *db.CreateRelation("R", {"a", "b"});
+  for (size_t i = 0; i < n; ++i) {
+    db.Apply(
+        WriteOp::Insert(rel, {Value::Constant(i), Value::Constant(i % 64)}), 0);
+  }
+  constexpr size_t kRowsPerUndo = 64;
+  Rng rng(1);
+  uint64_t update = 1;
+  uint64_t fresh = n;
+  std::vector<RowId> rows(kRowsPerUndo);
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (RowId& row : rows) {
+      row = static_cast<RowId>(rng.Uniform(n));
+      db.mutable_relation(rel).AppendVersion(
+          row, update, db.next_seq(), WriteKind::kModify,
+          {Value::Constant(row), Value::Constant(fresh++)});
+    }
+    state.ResumeTiming();
+    for (RowId row : rows) {
+      benchmark::DoNotOptimize(db.RemoveRowVersions(rel, row, update));
+    }
+    ++update;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kRowsPerUndo));
+}
+BENCHMARK(BM_AbortUndo)->Arg(256)->Arg(4096)->Arg(65536);
 
 }  // namespace
 }  // namespace youtopia

@@ -203,7 +203,12 @@ void Scheduler::CascadeFrom(const std::unordered_set<uint64_t>& direct) {
     options_.metrics->Add(obs::Counter::kDoomCascade,
                           marked.size() - direct.size());
   }
-  for (uint64_t number : marked) AbortOne(number);
+  // Abort in ascending number order: each abort hands its redo the next
+  // fresh number, so the redos keep their old relative order, whatever the
+  // set's hash layout or the order the tracker reported readers in.
+  std::vector<uint64_t> order(marked.begin(), marked.end());
+  std::sort(order.begin(), order.end());
+  for (uint64_t number : order) AbortOne(number);
 }
 
 void Scheduler::AbortOne(uint64_t number) {

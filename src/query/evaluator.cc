@@ -151,28 +151,24 @@ bool Evaluator::ExecuteStep(const QueryPlan& plan, size_t step_index,
     }
   }
   if (!probed) {
-    // Single-column path: probe the cheapest bound column, sized without
-    // copying any bucket.
-    size_t best_column = 0;
-    const Value* best_value = nullptr;
-    size_t best_count = 0;
+    // Single-column path: probe the cheapest bound column. One lookup per
+    // column both sizes the bucket and hands it over for the copy.
+    const std::vector<RowId>* best_bucket = nullptr;
     for (size_t c : step.probe_columns) {
       const Value* v = ProbeValue(atom.terms[c], binding);
       if (v == nullptr) continue;
-      const size_t count = relation.CandidateCount(c, *v);
-      if (best_value == nullptr || count < best_count) {
-        best_column = c;
-        best_value = v;
-        best_count = count;
-      }
-      if (best_count == 0) break;  // no candidate can match
-    }
-    if (best_value != nullptr) {
       any_bound_column = true;
-      probed = true;
-      if (best_count > 0) {
-        relation.CandidateRows(best_column, *best_value, &scratch.candidates);
+      const std::vector<RowId>* bucket = relation.FindBucket(c, *v);
+      if (bucket == nullptr) {  // no candidate can match
+        best_bucket = nullptr;
+        break;
       }
+      if (best_bucket == nullptr || bucket->size() < best_bucket->size()) {
+        best_bucket = bucket;
+      }
+    }
+    if (best_bucket != nullptr) {
+      VersionedRelation::AppendCandidates(*best_bucket, &scratch.candidates);
     }
   }
 

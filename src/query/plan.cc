@@ -60,10 +60,10 @@ double EstimateBoundColumn(const VersionedRelation& rel, const Term& term,
       std::max<double>(1.0, static_cast<double>(rel.distinct_values(c)));
   const double uniform = n / distinct;
   if (!value_aware) return uniform;
-  const TopKSketch<Value, ValueHash>& sketch = rel.sketch(c);
+  const TopKSketch<Value>& sketch = rel.sketch(c);
   if (term.is_constant()) {
     // The probe value is known now: price its bucket. Tracked entries are
-    // exact bucket sizes (as of the last compaction, high-water since);
+    // exact bucket sizes (as of the last sketch refresh, high-water since);
     // an untracked value's bucket cannot exceed the sketch's minimum
     // tracked count, so a cold constant in a skewed column stays cheap —
     // the refinement the retired whole-column max_bucket nudge could not

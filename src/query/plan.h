@@ -101,7 +101,7 @@ struct QueryPlan {
 // (VersionedRelation::sketch):
 //
 //   * constant term: the probe value is known at compile time, so the
-//     sketch prices that value — its tracked (exact-as-of-compaction)
+//     sketch prices that value — its tracked (exact-as-of-refresh)
 //     bucket when tracked, else at most the sketch's minimum tracked count
 //     (any untracked value's bucket is bounded by it). This replaces the
 //     retired max_bucket nudge, which charged the one hot bucket to EVERY

@@ -30,23 +30,25 @@ void FindMoreSpecificRows(const Snapshot& snap, RelationId rel,
                           const TupleData& data, bool exclude_equal,
                           std::vector<RowId>* out,
                           std::vector<RowId>* candidates) {
-  // If the tuple has a constant position, candidates must agree there
-  // (f is the identity on constants), so the column index applies.
-  int const_col = -1;
+  // Candidates must agree with every constant position (f is the identity
+  // on constants), so the smallest constant column's bucket suffices; a
+  // constant no stored content carries rules every row out.
+  const std::vector<RowId>* cheapest = nullptr;
   for (size_t i = 0; i < data.size(); ++i) {
-    if (data[i].is_constant()) {
-      const_col = static_cast<int>(i);
-      break;
+    if (!data[i].is_constant()) continue;
+    const std::vector<RowId>* bucket = snap.FindBucket(rel, i, data[i]);
+    if (bucket == nullptr) return;
+    if (cheapest == nullptr || bucket->size() < cheapest->size()) {
+      cheapest = bucket;
     }
   }
   auto consider = [&](RowId row, const TupleData& stored) {
     if (exclude_equal && stored == data) return;
     if (IsMoreSpecific(stored, data)) out->push_back(row);
   };
-  if (const_col >= 0) {
-    candidates->clear();  // deduped by CandidateRows
-    snap.CandidateRows(rel, static_cast<size_t>(const_col),
-                       data[static_cast<size_t>(const_col)], candidates);
+  if (cheapest != nullptr) {
+    candidates->clear();
+    VersionedRelation::AppendCandidates(*cheapest, candidates);
     for (RowId row : *candidates) {
       const TupleData* stored = snap.VisibleData(rel, row);
       if (stored != nullptr) consider(row, *stored);

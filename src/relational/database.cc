@@ -114,18 +114,25 @@ std::optional<RowId> Database::FindRowWithData(RelationId rel,
                                                uint64_t reader) const {
   CHECK_LT(rel, relations_.size());
   CHECK(!data.empty());
-  // Raw bucket walk: stops at the first verified hit, so duplicates are
-  // cheaper to re-verify than to dedup (this runs on every set-semantics
-  // insert).
-  std::optional<RowId> found;
-  relations_[rel].ForEachCandidate(0, data[0], [&](RowId row) {
-    const TupleData* visible = relations_[rel].VisibleData(row, reader);
-    if (visible != nullptr && *visible == data) {
-      found = row;
-      return false;
+  // Every column is bound, so probe the smallest bucket: a value no stored
+  // content carries rules the tuple out with no walk at all. The whole
+  // bucket is walked (duplicates re-verified rather than deduped) so the
+  // answer is the lowest matching row whichever column was probed.
+  const VersionedRelation& relation = relations_[rel];
+  const std::vector<RowId>* cheapest = nullptr;
+  for (size_t c = 0; c < data.size(); ++c) {
+    const std::vector<RowId>* bucket = relation.FindBucket(c, data[c]);
+    if (bucket == nullptr) return std::nullopt;
+    if (cheapest == nullptr || bucket->size() < cheapest->size()) {
+      cheapest = bucket;
     }
-    return true;
-  });
+  }
+  std::optional<RowId> found;
+  for (RowId row : *cheapest) {
+    if (found.has_value() && row >= *found) continue;
+    const TupleData* visible = relation.VisibleData(row, reader);
+    if (visible != nullptr && *visible == data) found = row;
+  }
   return found;
 }
 

@@ -112,6 +112,10 @@ class Database {
   size_t RemoveVersionsAbove(uint64_t threshold);
 
   // Finds a row whose content visible to `reader` equals `data` exactly.
+  // When several rows match (concurrent updates may each insert an equal
+  // tuple, and null replacement can make two rows equal), returns the one
+  // with the lowest RowId. Probes the smallest of the tuple's column
+  // buckets.
   std::optional<RowId> FindRowWithData(RelationId rel, const TupleData& data,
                                        uint64_t reader) const;
 
@@ -183,14 +187,10 @@ class Snapshot {
     db_->relation(rel).ForEachVisible(reader_, std::forward<Fn>(fn));
   }
 
-  void CandidateRows(RelationId rel, size_t column, const Value& value,
-                     std::vector<RowId>* out) const {
-    db_->relation(rel).CandidateRows(column, value, out);
-  }
-
-  size_t CandidateCount(RelationId rel, size_t column,
-                        const Value& value) const {
-    return db_->relation(rel).CandidateCount(column, value);
+  // See VersionedRelation::FindBucket.
+  const std::vector<RowId>* FindBucket(RelationId rel, size_t column,
+                                       const Value& value) const {
+    return db_->relation(rel).FindBucket(column, value);
   }
 
   // False if the composite index over `columns` has not been built.

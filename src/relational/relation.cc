@@ -6,10 +6,11 @@
 namespace youtopia {
 namespace {
 
-// Auto-compaction threshold: rebuild once removals strand more entries than
-// a quarter of the live versions (plus slack so small relations never churn).
-bool ShouldCompact(size_t stale_removals, size_t live_versions) {
-  return stale_removals > 32 && stale_removals * 4 > live_versions;
+// Sketch refresh threshold: once removals exceed a quarter of the live
+// versions (plus slack so small relations never churn), the sketches'
+// high-water marks may overstate the buckets enough to mislead the planner.
+bool ShouldRefreshSketches(size_t removals, size_t live_versions) {
+  return removals > 32 && removals * 4 > live_versions;
 }
 
 // A requested (deferred) composite index materializes once the cheapest
@@ -130,13 +131,6 @@ const TupleData* VersionedRelation::VisibleData(RowId row,
   return &v->data;
 }
 
-size_t VersionedRelation::CandidateCount(size_t column,
-                                         const Value& value) const {
-  CHECK_LT(column, indexes_.size());
-  auto it = indexes_[column].find(value);
-  return it == indexes_[column].end() ? 0 : it->second.size();
-}
-
 VersionedRelation::CompositeIndex* VersionedRelation::FindOrRegisterComposite(
     const std::vector<size_t>& columns) {
   CHECK_GE(columns.size(), 2u);
@@ -232,10 +226,13 @@ void VersionedRelation::CompactIndexes() {
   for (CompositeIndex& index : composites_) {
     for (auto& [key, rows] : index.buckets) SortUniqueSuffix(&rows, 0);
   }
-  // The rebuild dropped empty buckets and stranded entries, so the sketches
-  // are rebuilt exactly too: one exact-weight offer per surviving bucket
-  // (a pass over bucket headers, not rows) leaves every tracked entry an
-  // exact bucket size and max_bucket() the exact high-water mark.
+  RefreshSketches();
+}
+
+void VersionedRelation::RefreshSketches() {
+  // One exact-weight offer per bucket (a pass over bucket headers, not
+  // rows) leaves every tracked entry an exact bucket size and max_bucket()
+  // the exact high-water mark.
   for (size_t c = 0; c < arity_; ++c) {
     sketches_[c].Clear();
     for (const auto& [value, rows] : indexes_[c]) {
@@ -243,7 +240,7 @@ void VersionedRelation::CompactIndexes() {
     }
   }
   RecomputeHotFingerprint();
-  stale_removals_ = 0;
+  removals_since_refresh_ = 0;
 }
 
 uint64_t VersionedRelation::HotValueMass() const {
@@ -278,22 +275,40 @@ void VersionedRelation::RecomputeHotFingerprint() {
   hot_fingerprint_.store(fp, std::memory_order_relaxed);
 }
 
+template <typename Pred>
+size_t VersionedRelation::RemoveFromRow(RowId row, Pred&& doomed) {
+  Row& r = rows_[row];
+  auto first = std::find_if(r.versions.begin(), r.versions.end(), doomed);
+  if (first == r.versions.end()) return 0;
+  // Survivors keep their order; the doomed move aside so their content can
+  // be unindexed once the survivors are known.
+  removed_scratch_.clear();
+  MutateTrackingLiveness(r, [&] {
+    auto kept = first;
+    for (auto it = first; it != r.versions.end(); ++it) {
+      if (doomed(*it)) {
+        removed_scratch_.push_back(std::move(*it));
+      } else {
+        *kept++ = std::move(*it);
+      }
+    }
+    r.versions.erase(kept, r.versions.end());
+    RecomputeNewest(r);
+  });
+  UnindexRemoved(row);
+  const size_t removed = removed_scratch_.size();
+  removed_scratch_.clear();
+  num_versions_ -= removed;
+  return removed;
+}
+
 size_t VersionedRelation::RemoveVersionsOf(uint64_t update_number) {
   size_t removed = 0;
-  for (Row& row : rows_) {
-    auto new_end = std::remove_if(
-        row.versions.begin(), row.versions.end(),
-        [&](const TupleVersion& v) { return v.update_number == update_number; });
-    const size_t here = static_cast<size_t>(row.versions.end() - new_end);
-    if (here > 0) {
-      MutateTrackingLiveness(row, [&] {
-        row.versions.erase(new_end, row.versions.end());
-        RecomputeNewest(row);
-      });
-      removed += here;
-    }
+  for (RowId row = 0; row < rows_.size(); ++row) {
+    removed += RemoveFromRow(row, [&](const TupleVersion& v) {
+      return v.update_number == update_number;
+    });
   }
-  num_versions_ -= removed;
   NoteRemovals(removed);
   return removed;
 }
@@ -301,40 +316,71 @@ size_t VersionedRelation::RemoveVersionsOf(uint64_t update_number) {
 size_t VersionedRelation::RemoveVersionsOfRow(RowId row,
                                               uint64_t update_number) {
   CHECK_LT(row, rows_.size());
-  auto& versions = rows_[row].versions;
-  auto new_end = std::remove_if(
-      versions.begin(), versions.end(),
-      [&](const TupleVersion& v) { return v.update_number == update_number; });
-  const size_t removed = static_cast<size_t>(versions.end() - new_end);
-  if (removed > 0) {
-    MutateTrackingLiveness(rows_[row], [&] {
-      versions.erase(new_end, versions.end());
-      RecomputeNewest(rows_[row]);
-    });
-  }
-  num_versions_ -= removed;
+  const size_t removed = RemoveFromRow(row, [&](const TupleVersion& v) {
+    return v.update_number == update_number;
+  });
   NoteRemovals(removed);
   return removed;
 }
 
 size_t VersionedRelation::RemoveVersionsAbove(uint64_t threshold) {
   size_t removed = 0;
-  for (Row& row : rows_) {
-    auto new_end = std::remove_if(
-        row.versions.begin(), row.versions.end(),
-        [&](const TupleVersion& v) { return v.update_number > threshold; });
-    const size_t here = static_cast<size_t>(row.versions.end() - new_end);
-    if (here > 0) {
-      MutateTrackingLiveness(row, [&] {
-        row.versions.erase(new_end, row.versions.end());
-        RecomputeNewest(row);
-      });
-      removed += here;
-    }
+  for (RowId row = 0; row < rows_.size(); ++row) {
+    removed += RemoveFromRow(row, [&](const TupleVersion& v) {
+      return v.update_number > threshold;
+    });
   }
-  num_versions_ -= removed;
   NoteRemovals(removed);
   return removed;
+}
+
+bool VersionedRelation::EraseFromBucket(std::vector<RowId>& bucket,
+                                        RowId row) {
+  bucket.erase(std::remove(bucket.begin(), bucket.end(), row), bucket.end());
+  return bucket.empty();
+}
+
+void VersionedRelation::UnindexRemoved(RowId row) {
+  const std::vector<TupleVersion>& survivors = rows_[row].versions;
+  // True if a surviving content version satisfies `same`.
+  auto still_carried = [&](auto&& same) {
+    for (const TupleVersion& v : survivors) {
+      if (v.kind != WriteKind::kDelete && same(v.data)) return true;
+    }
+    return false;
+  };
+  for (const TupleVersion& gone : removed_scratch_) {
+    // Tombstones were never indexed (their content is a live version's).
+    if (gone.kind == WriteKind::kDelete) continue;
+    for (size_t c = 0; c < arity_; ++c) {
+      const Value& value = gone.data[c];
+      if (still_carried([&](const TupleData& d) { return d[c] == value; })) {
+        continue;
+      }
+      auto it = indexes_[c].find(value);
+      // Absent when an earlier removed version of this row emptied it.
+      if (it != indexes_[c].end() && EraseFromBucket(it->second, row)) {
+        indexes_[c].erase(it);
+      }
+    }
+    for (CompositeIndex& index : composites_) {
+      if (!index.built) continue;
+      if (still_carried([&](const TupleData& d) {
+            for (size_t c : index.columns) {
+              if (d[c] != gone.data[c]) return false;
+            }
+            return true;
+          })) {
+        continue;
+      }
+      key_scratch_.clear();
+      for (size_t c : index.columns) key_scratch_.push_back(gone.data[c]);
+      auto it = index.buckets.find(key_scratch_);
+      if (it != index.buckets.end() && EraseFromBucket(it->second, row)) {
+        index.buckets.erase(it);
+      }
+    }
+  }
 }
 
 void VersionedRelation::IndexData(RowId row, const TupleData& data) {
@@ -393,8 +439,10 @@ void VersionedRelation::RecomputeNewest(Row& row) {
 
 void VersionedRelation::NoteRemovals(size_t removed) {
   if (removed == 0) return;
-  stale_removals_ += removed;
-  if (ShouldCompact(stale_removals_, num_versions_)) CompactIndexes();
+  removals_since_refresh_ += removed;
+  if (ShouldRefreshSketches(removals_since_refresh_, num_versions_)) {
+    RefreshSketches();
+  }
 }
 
 }  // namespace youtopia

@@ -69,14 +69,14 @@ struct CompositeKeyHash {
 
 // Live planner statistics for one relation, assembled in O(arity) from
 // counters the write path and the hash indexes already maintain — no pass
-// over rows or buckets. The per-column numbers describe the *index* state
-// (stale-tolerant: entries stranded by removals are counted until the next
-// compaction rebuilds the indexes exactly); `visible_rows` is exact under
-// newest-version visibility at all times.
+// over rows or buckets. The per-column numbers describe the *index* state:
+// `distinct_values` is exact over stored content versions, `max_bucket` a
+// high-water mark since the last sketch refresh; `visible_rows` is exact
+// under newest-version visibility at all times.
 struct StatsSnapshot {
   struct Column {
     size_t distinct_values = 0;  // buckets in the per-column hash index
-    size_t max_bucket = 0;       // largest bucket since the last compaction
+    size_t max_bucket = 0;       // largest bucket since the last refresh
   };
   size_t visible_rows = 0;  // rows whose newest version is not a tombstone
   size_t num_versions = 0;
@@ -96,14 +96,20 @@ struct StatsSnapshot {
 // resolves visibility without walking the chain.
 //
 // Rows are never physically removed; aborting an update unlinks its versions
-// (RemoveVersionsOf). Indexes come in two forms, both hash-based,
-// append-only and stale-tolerant (a candidate row must be re-verified
-// against the version visible to the reader):
+// (RemoveVersionsOf). Indexes come in two forms, both hash-based:
 //   * one per-column index, always present;
 //   * composite indexes over column sets, built lazily on demand
 //     (EnsureCompositeIndex) for the probes compiled query plans ask for.
-// Removals (abort undo, experiment rewind) count the entries they strand;
-// past a threshold the indexes are rebuilt from the surviving versions.
+// A bucket holds exactly the rows with some *stored* content version
+// (insert or modify) carrying its key: writes append, and removals (abort
+// undo, experiment rewind) take a row out of every bucket no surviving
+// content version of it still carries, dropping buckets that empty, so
+// distinct_values() is exact. The indexes stay stale-tolerant only for
+// versions the reader cannot see (another reader's versions, superseded or
+// deleted content): a candidate row must be re-verified against the version
+// visible to the reader. A bucket may list a row more than once (a row
+// re-written to a value it carried before, with other rows indexed under
+// that value in between); the probes dedup.
 //
 // Threading — the per-shard write ownership invariant: a relation has at
 // most one owner thread at a time (the shard worker its tgd-closure
@@ -131,7 +137,7 @@ class VersionedRelation {
   VersionedRelation(VersionedRelation&& other) noexcept
       : arity_(other.arity_),
         num_versions_(other.num_versions_),
-        stale_removals_(other.stale_removals_),
+        removals_since_refresh_(other.removals_since_refresh_),
         visible_rows_(other.visible_rows_.load(std::memory_order_relaxed)),
         hot_fingerprint_(
             other.hot_fingerprint_.load(std::memory_order_relaxed)),
@@ -139,7 +145,9 @@ class VersionedRelation {
         sketches_(std::move(other.sketches_)),
         rows_(std::move(other.rows_)),
         indexes_(std::move(other.indexes_)),
-        composites_(std::move(other.composites_)) {}
+        composites_(std::move(other.composites_)),
+        removed_scratch_(std::move(other.removed_scratch_)),
+        key_scratch_(std::move(other.key_scratch_)) {}
 
   size_t arity() const { return arity_; }
   size_t num_rows() const { return rows_.size(); }
@@ -158,15 +166,16 @@ class VersionedRelation {
     return visible_rows_.load(std::memory_order_relaxed);
   }
 
-  // Buckets in the per-column hash index (distinct indexed values, counting
-  // values only stale entries still reference until compaction).
+  // Buckets in the per-column hash index: the distinct values the column
+  // holds across every stored content version (exact; removals drop the
+  // buckets they empty).
   size_t distinct_values(size_t column) const {
     CHECK_LT(column, indexes_.size());
     return indexes_[column].size();
   }
 
-  // Largest bucket of the column's index since the last compaction (an upper
-  // bound on what a single-column probe can yield). Derived from the
+  // Largest bucket of the column's index since the last sketch refresh (an
+  // upper bound on what a single-column probe can yield). Derived from the
   // column's heavy-hitter sketch — under exact-weight maintenance the
   // sketch's max tracked count IS the bucket high-water mark, so there is no
   // separate counter to keep in sync.
@@ -176,10 +185,10 @@ class VersionedRelation {
   }
 
   // The column's heavy-hitter sketch (owner-only, like distinct_values()).
-  // Entries are exact index-bucket sizes as of the last compaction,
-  // monotonically refreshed by the write path since; Estimate() upper-bounds
+  // Entries are exact index-bucket sizes as of the last sketch refresh,
+  // monotonically raised by the write path since; Estimate() upper-bounds
   // any value's bucket. Feeds the planner's per-value probe charges.
-  const TopKSketch<Value, ValueHash>& sketch(size_t column) const {
+  const TopKSketch<Value>& sketch(size_t column) const {
     CHECK_LT(column, sketches_.size());
     return sketches_[column];
   }
@@ -238,38 +247,49 @@ class VersionedRelation {
     }
   }
 
-  // Appends to `out` the rows that may contain `value` in `column`. The
-  // result may contain stale rows (content no longer visible) but each row
-  // at most once per call, in ascending order. Templated over the output
-  // vector so executors can collect candidates into arena-backed scratch
-  // (util/arena.h) as well as plain std::vectors.
-  template <typename RowIdVec>
-  void CandidateRows(size_t column, const Value& value, RowIdVec* out) const {
+  // The `column` index bucket for `value`, or nullptr when no stored content
+  // version carries it. One hash lookup serves both sizing a probe (the
+  // bucket size upper-bounds its candidates) and fetching it
+  // (AppendCandidates), so an executor choosing the cheapest of several
+  // probes never hashes a key twice. The bucket may repeat a row and list
+  // rows whose content the reader cannot see; it is invalidated by the next
+  // write or removal.
+  const std::vector<RowId>* FindBucket(size_t column,
+                                       const Value& value) const {
     CHECK_LT(column, indexes_.size());
     auto it = indexes_[column].find(value);
-    if (it == indexes_[column].end()) return;
-    // A row re-modified with a repeated value appears multiple times in its
-    // bucket; dedup here so callers resolve each row's visibility once.
-    AppendDedupedSuffix(it->second, out);
+    return it == indexes_[column].end() ? nullptr : &it->second;
+  }
+
+  // Appends `bucket`'s rows to `out`, each at most once, in ascending order
+  // (buckets may hold a row several times; callers then resolve each row's
+  // visibility once). Templated over the output vector so executors can
+  // collect candidates into arena-backed scratch (util/arena.h) as well as
+  // plain std::vectors.
+  template <typename RowIdVec>
+  static void AppendCandidates(const std::vector<RowId>& bucket,
+                               RowIdVec* out) {
+    const auto start =
+        static_cast<typename RowIdVec::difference_type>(out->size());
+    out->insert(out->end(), bucket.begin(), bucket.end());
+    std::sort(out->begin() + start, out->end());
+    out->erase(std::unique(out->begin() + start, out->end()), out->end());
+  }
+
+  // Appends to `out` the rows that may contain `value` in `column` (a
+  // FindBucket + AppendCandidates convenience).
+  template <typename RowIdVec>
+  void CandidateRows(size_t column, const Value& value, RowIdVec* out) const {
+    if (const std::vector<RowId>* bucket = FindBucket(column, value)) {
+      AppendCandidates(*bucket, out);
+    }
   }
 
   // Size of the `column` index bucket for `value` (an upper bound on the
-  // candidates a probe yields; lets an executor pick the cheapest probe
-  // without copying buckets).
-  size_t CandidateCount(size_t column, const Value& value) const;
-
-  // Copy-free bucket iteration: invokes fn(row) for each candidate (may
-  // repeat a row and include stale ones; return false to stop). For probes
-  // that stop at the first verified hit, where CandidateRows' dedup pass
-  // would cost more than re-verifying a duplicate.
-  template <typename Fn>
-  void ForEachCandidate(size_t column, const Value& value, Fn&& fn) const {
-    CHECK_LT(column, indexes_.size());
-    auto it = indexes_[column].find(value);
-    if (it == indexes_[column].end()) return;
-    for (RowId row : it->second) {
-      if (!fn(row)) return;
-    }
+  // candidates a probe yields).
+  size_t CandidateCount(size_t column, const Value& value) const {
+    const std::vector<RowId>* bucket = FindBucket(column, value);
+    return bucket == nullptr ? 0 : bucket->size();
   }
 
   // --- Composite indexes ----------------------------------------------------
@@ -295,8 +315,9 @@ class VersionedRelation {
 
   // Probes the composite index over `columns` with `values` (parallel to
   // `columns`). Returns false if no such index has been built; otherwise
-  // appends the candidate rows (stale-tolerant, deduplicated, ascending)
-  // and returns true. Templated like CandidateRows.
+  // appends the candidate rows (deduplicated, ascending; re-verify against
+  // the reader's visible version) and returns true. Templated like
+  // CandidateRows.
   template <typename RowIdVec>
   bool CandidateRowsComposite(const std::vector<size_t>& columns,
                               const std::vector<Value>& values,
@@ -306,7 +327,7 @@ class VersionedRelation {
       if (index.columns != columns) continue;
       if (!index.built) return false;  // deferred: caller falls back
       auto it = index.buckets.find(values);
-      if (it != index.buckets.end()) AppendDedupedSuffix(it->second, out);
+      if (it != index.buckets.end()) AppendCandidates(it->second, out);
       return true;
     }
     return false;
@@ -320,18 +341,28 @@ class VersionedRelation {
   // storage microbenchmark's drift measurement).
   size_t IndexEntryCount() const;
 
-  // Rebuilds every index from the surviving versions, dropping entries
-  // stranded by removed versions and duplicates within buckets. Cheap to
-  // call when nothing was removed; also triggered automatically once enough
-  // versions have been removed (see stale_removals_since_compaction()).
+  // Rebuilds every index from the stored versions, dropping duplicate
+  // entries within buckets, and rebuilds the sketches exactly (no
+  // high-water marks left over). Removals keep the buckets exact without
+  // it; this is an explicit operation for callers that want duplicate-free
+  // buckets and exact sketches at once. O(versions * arity).
   void CompactIndexes();
 
-  // Versions removed (abort undo / rewind) since the last compaction; their
-  // index entries are stale until CompactIndexes runs.
-  size_t stale_removals_since_compaction() const { return stale_removals_; }
+  // Versions removed (abort undo / rewind) since the sketches were last
+  // refreshed from the buckets. Removals unindex exactly, but leave the
+  // sketches' high-water marks standing; once enough versions have been
+  // removed the sketches and the hot fingerprint are refreshed (one
+  // exact-weight offer per bucket) and this counter restarts at 0.
+  // CompactIndexes also resets it.
+  size_t removals_since_sketch_refresh() const {
+    return removals_since_refresh_;
+  }
 
   // Removes every version created by `update_number` (abort undo). Returns
-  // the number of versions removed.
+  // the number of versions removed. Every removal below unindexes exactly
+  // what it removes: per removed content version, one bucket edit (a scan
+  // of that bucket) per column and built composite whose key no surviving
+  // version of the row carries — never a rebuild.
   size_t RemoveVersionsOf(uint64_t update_number);
 
   // Targeted abort undo: removes `update_number`'s versions of one row.
@@ -362,18 +393,6 @@ class VersionedRelation {
         buckets;
   };
 
-  // Copies `bucket` onto the tail of `out`, then sorts and uniques just that
-  // suffix (buckets may hold a row several times).
-  template <typename RowIdVec>
-  static void AppendDedupedSuffix(const std::vector<RowId>& bucket,
-                                  RowIdVec* out) {
-    const auto start =
-        static_cast<typename RowIdVec::difference_type>(out->size());
-    out->insert(out->end(), bucket.begin(), bucket.end());
-    std::sort(out->begin() + start, out->end());
-    out->erase(std::unique(out->begin() + start, out->end()), out->end());
-  }
-
   CompositeIndex* FindOrRegisterComposite(const std::vector<size_t>& columns);
   void BuildCompositeIndex(CompositeIndex& index);
   // Stats-driven break-even for deferred composite builds (see
@@ -381,12 +400,24 @@ class VersionedRelation {
   bool ShouldBuildComposite(const CompositeIndex& index) const;
   void IndexData(RowId row, const TupleData& data);
   // Folds the currently-hot sketch entries into hot_fingerprint_. Called by
-  // the owner every kHotFingerprintStride IndexData calls and at
-  // CompactIndexes; O(arity * K).
+  // the owner every kHotFingerprintStride IndexData calls and at every
+  // sketch refresh; O(arity * K).
   void RecomputeHotFingerprint();
   void IndexDataComposite(CompositeIndex& index, RowId row,
                           const TupleData& data);
   void RecomputeNewest(Row& row);
+  // Removes the versions of `row` matching `doomed`, moving them to
+  // removed_scratch_, then unindexes their content. Returns how many.
+  template <typename Pred>
+  size_t RemoveFromRow(RowId row, Pred&& doomed);
+  // Takes `row` out of every bucket whose key some version in
+  // removed_scratch_ carried and no surviving content version still does.
+  void UnindexRemoved(RowId row);
+  // Drops one row's entries from a bucket; true if the bucket emptied.
+  static bool EraseFromBucket(std::vector<RowId>& bucket, RowId row);
+  // Rebuilds the column sketches from the buckets (one exact-weight offer
+  // per bucket) and recomputes the hot fingerprint. O(distinct values).
+  void RefreshSketches();
   void NoteRemovals(size_t removed);
 
   // Newest-version visibility of a row (the quantity visible_rows_ counts).
@@ -420,7 +451,7 @@ class VersionedRelation {
   // not by clang's static analysis. See the class threading comment.
   size_t arity_;
   size_t num_versions_ = 0;
-  size_t stale_removals_ = 0;
+  size_t removals_since_refresh_ = 0;
   // The any-thread fields: relaxed atomics for foreign staleness polls.
   std::atomic<size_t> visible_rows_{0};
   std::atomic<uint64_t> hot_fingerprint_{0};
@@ -428,14 +459,18 @@ class VersionedRelation {
   // hot_fingerprint_ (strided: see kHotFingerprintStride).
   size_t offers_since_fingerprint_ = 0;
   // Per column: heavy-hitter sketch over indexed values (exact bucket sizes
-  // as of the last compaction, monotone high-water refresh since — see
+  // as of the last sketch refresh, monotone high-water marks since — see
   // max_bucket()/sketch()).
-  std::vector<TopKSketch<Value, ValueHash>> sketches_;
+  std::vector<TopKSketch<Value>> sketches_;
   std::vector<Row> rows_;
   // One hash index per column: value -> candidate rows.
   std::vector<std::unordered_map<Value, std::vector<RowId>, ValueHash>>
       indexes_;
   std::vector<CompositeIndex> composites_;
+  // Reused by the removal paths: the versions a removal unlinked, and a
+  // composite probe key.
+  std::vector<TupleVersion> removed_scratch_;
+  std::vector<Value> key_scratch_;
 };
 
 }  // namespace youtopia

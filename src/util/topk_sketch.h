@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "util/check.h"
@@ -12,10 +11,11 @@
 namespace youtopia {
 
 // Fixed-capacity heavy-hitter sketch (space-saving family, Metwally et al.).
-// Tracks at most K (value, count, error) entries; everything is O(1) per
-// offer (the eviction scan is O(K) with K a small compile-time-ish constant,
-// which is O(1) for our purposes) and exact while the number of distinct
-// offered values is at most K.
+// Tracks at most K (value, count, error) entries and is exact while the
+// number of distinct offered values is at most K. Entries live in one flat
+// array searched linearly: every operation is O(K) equality tests, which
+// for the small K used here (kRelationSketchCapacity = 8) beats hashing the
+// value into a side index — and there is no index to keep in sync.
 //
 // Two maintenance modes share the entry table:
 //
@@ -34,12 +34,13 @@ namespace youtopia {
 //
 // Mixing modes on one sketch is legal but forfeits the exact-count reading
 // of OfferExact entries; VersionedRelation uses OfferExact exclusively and
-// rebuilds from scratch at compaction, so its entries are exact bucket
-// sizes as of the last rebuild, monotonically refreshed since.
+// rebuilds from its index buckets at each sketch refresh (after a batch of
+// removals, or CompactIndexes), so its entries are exact bucket sizes as of
+// the last refresh, monotonically raised since.
 //
 // Not thread-safe; ownership follows the containing structure's contract
 // (for relation statistics: owner-thread-only, like distinct_values()).
-template <typename T, typename Hash = std::hash<T>>
+template <typename T>
 class TopKSketch {
  public:
   struct Entry {
@@ -52,14 +53,12 @@ class TopKSketch {
   explicit TopKSketch(size_t capacity) : capacity_(capacity) {
     CHECK(capacity_ > 0);
     entries_.reserve(capacity_);
-    index_.reserve(capacity_ * 2);
   }
 
   // Classic space-saving: count the value once.
   void Offer(const T& value) {
-    auto it = index_.find(value);
-    if (it != index_.end()) {
-      ++entries_[it->second].count;
+    if (const size_t i = IndexOf(value); i < entries_.size()) {
+      ++entries_[i].count;
       return;
     }
     if (entries_.size() < capacity_) {
@@ -76,10 +75,8 @@ class TopKSketch {
   // Exact-weight refresh: the caller asserts `value` currently occurs
   // exactly `exact_count` times. Keeps the high-water mark per value.
   void OfferExact(const T& value, uint64_t exact_count) {
-    auto it = index_.find(value);
-    if (it != index_.end()) {
-      Entry& e = entries_[it->second];
-      if (exact_count > e.count) e.count = exact_count;
+    if (const size_t i = IndexOf(value); i < entries_.size()) {
+      entries_[i].count = std::max(entries_[i].count, exact_count);
       return;
     }
     if (entries_.size() < capacity_) {
@@ -96,12 +93,15 @@ class TopKSketch {
   // ceiling any untracked value can hide under (min_count at capacity, 0
   // below capacity — below capacity every offered value is tracked).
   uint64_t Estimate(const T& value) const {
-    auto it = index_.find(value);
-    if (it != index_.end()) return entries_[it->second].count;
+    if (const size_t i = IndexOf(value); i < entries_.size()) {
+      return entries_[i].count;
+    }
     return entries_.size() < capacity_ ? 0 : MinCount();
   }
 
-  bool Tracks(const T& value) const { return index_.count(value) > 0; }
+  bool Tracks(const T& value) const {
+    return IndexOf(value) < entries_.size();
+  }
 
   uint64_t max_count() const {
     uint64_t m = 0;
@@ -117,10 +117,7 @@ class TopKSketch {
   size_t capacity() const { return capacity_; }
   bool AtCapacity() const { return entries_.size() >= capacity_; }
 
-  void Clear() {
-    entries_.clear();
-    index_.clear();
-  }
+  void Clear() { entries_.clear(); }
 
   // Fold another sketch in: shared values sum counts and errors, the union
   // is re-truncated to the K largest (count ties broken by smaller error,
@@ -130,16 +127,15 @@ class TopKSketch {
   // bounds because each summand was one.
   void Merge(const TopKSketch& other) {
     std::vector<Entry> merged = entries_;
-    std::unordered_map<T, size_t, Hash> pos;
-    pos.reserve(merged.size() + other.entries_.size());
-    for (size_t i = 0; i < merged.size(); ++i) pos.emplace(merged[i].value, i);
+    const size_t own = merged.size();
     for (const Entry& e : other.entries_) {
-      auto it = pos.find(e.value);
-      if (it != pos.end()) {
-        merged[it->second].count += e.count;
-        merged[it->second].error += e.error;
+      auto shared = std::find_if(
+          merged.begin(), merged.begin() + static_cast<ptrdiff_t>(own),
+          [&](const Entry& m) { return m.value == e.value; });
+      if (shared != merged.begin() + static_cast<ptrdiff_t>(own)) {
+        shared->count += e.count;
+        shared->error += e.error;
       } else {
-        pos.emplace(e.value, merged.size());
         merged.push_back(e);
       }
     }
@@ -149,8 +145,7 @@ class TopKSketch {
                        return a.error < b.error;
                      });
     if (merged.size() > capacity_) merged.resize(capacity_);
-    Clear();
-    for (const Entry& e : merged) Insert(e.value, e.count, e.error);
+    entries_ = std::move(merged);
   }
 
   template <typename Fn>
@@ -159,14 +154,18 @@ class TopKSketch {
   }
 
  private:
+  // Position of `value`'s entry, or size() when untracked.
+  size_t IndexOf(const T& value) const {
+    size_t i = 0;
+    while (i < entries_.size() && entries_[i].value != value) ++i;
+    return i;
+  }
+
   void Insert(const T& value, uint64_t count, uint64_t error) {
-    index_.emplace(value, entries_.size());
     entries_.push_back(Entry{value, count, error});
   }
 
   void Replace(size_t idx, const T& value, uint64_t count, uint64_t error) {
-    index_.erase(entries_[idx].value);
-    index_.emplace(value, idx);
     entries_[idx] = Entry{value, count, error};
   }
 
@@ -185,7 +184,6 @@ class TopKSketch {
 
   size_t capacity_;
   std::vector<Entry> entries_;
-  std::unordered_map<T, size_t, Hash> index_;
 };
 
 }  // namespace youtopia

@@ -72,6 +72,24 @@ TEST_F(DatabaseTest, NullReplaceRewritesAllOccurrences) {
   EXPECT_FALSE(db_.FindRowWithData(rel_, Row("john", "jack"), 1).has_value());
 }
 
+TEST_F(DatabaseTest, FindRowWithDataReturnsLowestMatchingRow) {
+  // Row 0 holds a null, row 1 the final content; replacing the null makes
+  // row 0 equal to row 1 and appends row 0 to the buckets behind row 1.
+  const Value n = db_.FreshNull();
+  const RowId row0 =
+      db_.Apply(WriteOp::Insert(rel_, {db_.InternConstant("john"), n}), 1)[0]
+          .row;
+  const RowId row1 = db_.Apply(WriteOp::Insert(rel_, Row("john", "jack")), 1)[0]
+                         .row;
+  ASSERT_LT(row0, row1);
+  db_.Apply(WriteOp::NullReplace(n, db_.InternConstant("jack")), 2);
+  // Both rows match; the lowest RowId is the answer, whatever the bucket
+  // order or the column probed.
+  EXPECT_EQ(db_.FindRowWithData(rel_, Row("john", "jack"), 2), row0);
+  EXPECT_EQ(db_.FindRowWithData(rel_, Row("john", "jack"), 1), row1);
+  EXPECT_FALSE(db_.FindRowWithData(rel_, Row("john", "jill"), 2).has_value());
+}
+
 TEST_F(DatabaseTest, NullReplaceByAnotherNull) {
   const Value n = db_.FreshNull();
   const Value m = db_.FreshNull();

@@ -149,8 +149,8 @@ TEST(VersionedRelationTest, RewritingSameValueDedupedPerProbe) {
 }
 
 TEST(VersionedRelationTest, IndexEntryCountGrowsMonotonicallyOnRewrites) {
-  // Documents the append-only index cost: every modify re-indexes the row's
-  // full content, and entries are never reclaimed, so IndexEntryCount is
+  // Documents the append-only write cost: every modify re-indexes the row's
+  // full content, and only removals reclaim entries, so IndexEntryCount is
   // monotone in the number of writes even when content repeats.
   VersionedRelation rel(2);
   const RowId r0 = rel.AppendInsertRow(0, 1, Row({7, 0}));
@@ -212,8 +212,8 @@ TEST(VersionedRelationTest, CompactIndexesDropsEntriesOfRemovedVersions) {
   }
   const size_t entries_with_aborted = rel.IndexEntryCount();
   rel.RemoveVersionsOf(9);
-  EXPECT_EQ(rel.stale_removals_since_compaction(), 0u)
-      << "bulk removal should have auto-compacted";
+  EXPECT_EQ(rel.removals_since_sketch_refresh(), 0u)
+      << "bulk removal should have refreshed the sketches";
   EXPECT_LT(rel.IndexEntryCount(), entries_with_aborted);
   // The stale candidates are gone from the probes.
   std::vector<RowId> rows;
@@ -229,22 +229,22 @@ TEST(VersionedRelationTest, CompactIndexesDropsEntriesOfRemovedVersions) {
   EXPECT_EQ(rows.size(), 1u);
 }
 
-TEST(VersionedRelationTest, SmallRemovalsDeferCompactionUntilThreshold) {
+TEST(VersionedRelationTest, SmallRemovalsUnindexImmediately) {
   VersionedRelation rel(1);
   for (uint64_t i = 0; i < 100; ++i) {
     rel.AppendInsertRow(0, 1 + i, Row({i}));
   }
   rel.AppendInsertRow(5, 200, Row({777}));
-  rel.RemoveVersionsOf(5);  // one stranded entry: not worth a rebuild
-  EXPECT_EQ(rel.stale_removals_since_compaction(), 1u);
+  const size_t distinct_before = rel.distinct_values(0);
+  rel.RemoveVersionsOf(5);  // one removal: far below the sketch refresh
+  EXPECT_EQ(rel.removals_since_sketch_refresh(), 1u);
+  // No compaction ran, yet the removed content is already out of the index:
+  // no candidate, no bucket, one distinct value fewer.
   std::vector<RowId> rows;
   rel.CandidateRows(0, Value::Constant(777), &rows);
-  EXPECT_EQ(rows.size(), 1u);  // stale entry still present (re-verified)
-  rel.CompactIndexes();  // explicit compaction reclaims it
-  EXPECT_EQ(rel.stale_removals_since_compaction(), 0u);
-  rows.clear();
-  rel.CandidateRows(0, Value::Constant(777), &rows);
   EXPECT_TRUE(rows.empty());
+  EXPECT_EQ(rel.FindBucket(0, Value::Constant(777)), nullptr);
+  EXPECT_EQ(rel.distinct_values(0), distinct_before - 1);
 }
 
 TEST(VersionedRelationTest, NewestVersionFastPathMatchesChainWalk) {
@@ -268,7 +268,7 @@ TEST(VersionedRelationTest, NewestVersionFastPathMatchesChainWalk) {
 // scratch recount through every mutation the system performs: inserts,
 // tombstones, modifies, aborted-update cleanup (RemoveVersionsOf /
 // RemoveVersionsOfRow), experiment rewind (RemoveVersionsAbove) and the
-// threshold-triggered index compaction those removals can fire.
+// threshold-triggered sketch refresh those removals can fire.
 
 // Ground truth for visible_rows(): rows whose newest version is live.
 size_t CountVisibleRows(const VersionedRelation& rel) {
@@ -328,15 +328,15 @@ TEST(VersionedRelationStatsTest, DistinctAndMaxBucketExactAfterCompaction) {
   EXPECT_EQ(s.columns[1].max_bucket, 1u);
 
   // Update 9 piles 60 more rows onto one value of column 0, then aborts —
-  // enough stranded entries to fire the auto-compaction threshold, after
-  // which the stats must be exact again (no leftovers from the abort).
+  // enough removals to fire the sketch refresh, after which the stats must
+  // be exact again (no leftovers from the abort).
   for (uint64_t i = 0; i < 60; ++i) {
     rel.AppendInsertRow(9, 100 + i, Row({7, 1000 + i}));
   }
   EXPECT_EQ(rel.Stats().columns[0].max_bucket, 60u);
   rel.RemoveVersionsOf(9);
-  EXPECT_EQ(rel.stale_removals_since_compaction(), 0u)
-      << "bulk removal should have auto-compacted";
+  EXPECT_EQ(rel.removals_since_sketch_refresh(), 0u)
+      << "bulk removal should have refreshed the sketches";
   s = rel.Stats();
   EXPECT_EQ(s.visible_rows, 40u);
   EXPECT_EQ(s.columns[0].distinct_values, 4u);
@@ -355,7 +355,7 @@ TEST(VersionedRelationStatsTest, SketchRebuiltExactlyByCompaction) {
       rel.AppendInsertRow(1, seq++, Row({v}));
     }
   }
-  const TopKSketch<Value, ValueHash>& sk = rel.sketch(0);
+  const TopKSketch<Value>& sk = rel.sketch(0);
   for (uint64_t v = 0; v < 6; ++v) {
     EXPECT_EQ(sk.Estimate(Value::Constant(v)), 11 + v);
   }
@@ -393,8 +393,9 @@ TEST(VersionedRelationStatsTest, StatsSurviveRewindPlusExplicitCompaction) {
   EXPECT_EQ(rel.Stats().columns[0].distinct_values, 3u);
   rel.RemoveVersionsAbove(2);  // rewind: update 3's rows vanish
   EXPECT_EQ(rel.visible_rows(), 20u);
-  // Below the auto-compaction threshold the index stats are allowed to be
-  // stale upper bounds; an explicit compaction restores exactness.
+  // Below the sketch-refresh threshold max_bucket may still be a stale
+  // high-water mark (distinct_values is exact already); an explicit
+  // compaction restores exactness.
   rel.CompactIndexes();
   StatsSnapshot s = rel.Stats();
   EXPECT_EQ(s.visible_rows, 20u);

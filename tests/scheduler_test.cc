@@ -282,5 +282,73 @@ TEST(SchedulerTest, InitialNullReplaceRedoneAfterLowerInsertOfTheNull) {
   }
 }
 
+// One direct conflict feeding a two-reader cascade. u1 inserts P(a) and
+// derives Q(a) in its second step; u2 inserts R(a) and its first step reads
+// Q(a) as absent (R(x) & Q(x) -> S(x)); u3 and u4 each derive from u2's
+// R(a). Round-robin scheduling runs all three readers' first steps before
+// u1's second, so u1's Q(a) aborts u2 directly and u3, u4 by cascade (the
+// redos may abort each other again; those aborts cascade the same way).
+struct CascadeFixture {
+  Database db;
+  std::vector<Tgd> tgds;
+  RelationId P, Q, R, S, T, U, V, W;
+  Value a;
+
+  CascadeFixture() {
+    P = *db.CreateRelation("P", {"x"});
+    Q = *db.CreateRelation("Q", {"x"});
+    R = *db.CreateRelation("R", {"x"});
+    S = *db.CreateRelation("S", {"x"});
+    T = *db.CreateRelation("T", {"x"});
+    U = *db.CreateRelation("U", {"x"});
+    V = *db.CreateRelation("V", {"x"});
+    W = *db.CreateRelation("W", {"x"});
+    TgdParser parser(&db.catalog(), &db.symbols());
+    for (const char* text : {"P(x) -> Q(x)", "R(x) & Q(x) -> S(x)",
+                             "T(x) & R(x) -> U(x)", "V(x) & R(x) -> W(x)"}) {
+      tgds.push_back(*parser.ParseTgd(text));
+    }
+    a = db.InternConstant("a");
+  }
+};
+
+TEST(SchedulerTest, CascadeRedosKeepOldNumberOrder) {
+  for (TrackerKind kind :
+       {TrackerKind::kNaive, TrackerKind::kCoarse, TrackerKind::kPrecise}) {
+    SCOPED_TRACE(TrackerKindName(kind));
+    CascadeFixture fix;
+    ScriptedAgent agent;
+    SchedulerOptions opts;
+    opts.tracker = kind;
+    Scheduler sched(&fix.db, &fix.tgds, &agent, opts);
+    sched.Submit(WriteOp::Insert(fix.P, {fix.a}));
+    // The three readers, in submission (= old number) order.
+    const std::vector<RelationId> readers = {fix.R, fix.T, fix.V};
+    for (RelationId rel : readers) sched.Submit(WriteOp::Insert(rel, {fix.a}));
+    sched.RunToCompletion();
+    ASSERT_EQ(sched.stats().updates_completed, 4u);
+    EXPECT_GE(sched.stats().direct_conflict_aborts, 1u);
+    EXPECT_GE(sched.stats().cascading_abort_requests, 2u);
+
+    // Every reader was redone under a number above the four initial ones;
+    // redos of one cascade take fresh numbers in their old-number order, so
+    // the committed numbers ascend in submission order.
+    std::vector<uint64_t> numbers;
+    for (RelationId rel : readers) {
+      for (const auto& [number, op] : sched.CommittedOpsWithNumbers()) {
+        if (op.rel == rel) numbers.push_back(number);
+      }
+    }
+    ASSERT_EQ(numbers.size(), 3u);
+    EXPECT_GT(numbers[0], 4u);
+    EXPECT_LT(numbers[0], numbers[1]);
+    EXPECT_LT(numbers[1], numbers[2]);
+    for (RelationId rel : {fix.S, fix.U, fix.W}) {
+      EXPECT_EQ(fix.db.CountVisible(rel, kReadLatest), 1u) << "relation "
+                                                           << rel;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace youtopia
