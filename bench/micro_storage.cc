@@ -1,6 +1,6 @@
 // Microbenchmarks for the MVCC storage engine: insert/read throughput,
-// version-chain visibility resolution, index lookup vs full scan, and abort
-// undo cost.
+// version-chain visibility resolution, index lookups (hits and misses), and
+// abort undo cost.
 #include <benchmark/benchmark.h>
 
 #include "relational/database.h"
@@ -48,6 +48,28 @@ void BM_IndexLookup(benchmark::State& state) {
   benchmark::DoNotOptimize(hits);
 }
 BENCHMARK(BM_IndexLookup)->Range(1024, 65536);
+
+void BM_IndexProbeMiss(benchmark::State& state) {
+  // A probe for a value no row carries: the chase's common fresh-null probe
+  // (a just-minted labeled null is in no bucket). Column 1 holds one
+  // distinct value per row, so the probed index grows with the relation.
+  Database db;
+  const RelationId rel = *db.CreateRelation("R", {"a", "b"});
+  const size_t n = static_cast<size_t>(state.range(0));
+  for (size_t i = 0; i < n; ++i) {
+    db.Apply(WriteOp::Insert(rel, {Value::Constant(i % 256),
+                                   Value::Constant(i)}),
+             0);
+  }
+  uint64_t next = 0;
+  size_t hits = 0;
+  for (auto _ : state) {
+    hits += db.relation(rel).FindBucket(1, Value::Null(next++ & 4095)) !=
+            nullptr;
+  }
+  benchmark::DoNotOptimize(hits);
+}
+BENCHMARK(BM_IndexProbeMiss)->Arg(1024)->Arg(65536);
 
 void BM_VisibilityWithDeepVersionChains(benchmark::State& state) {
   // One row modified by many successive updates (null replacement chains);

@@ -27,7 +27,8 @@ struct FrontierTuple {
   RelationId rel = 0;
   TupleData data;  // current content; shared-null substitutions from earlier
                    // decisions in the same group are applied in place
-  std::vector<RowId> more_specific;  // candidate rows at request time
+  std::vector<RowId> more_specific;  // candidate rows, refreshed when the
+                                     // tuple is resolved
 };
 
 // All RHS tuples of one tgd firing form one group; they may share fresh

@@ -326,9 +326,11 @@ Update::ForwardRepair Update::GenerateForwardRepair(Database* db,
     if (options_.log_reads) {
       res->reads.push_back(ReadQueryRecord::MoreSpecific(atom.rel, ft.data));
     }
-    FindMoreSpecificRows(snap, atom.rel, ft.data, /*exclude_equal=*/false,
-                         &ft.more_specific, &candidates_scratch_);
-    any_ambiguous |= !ft.more_specific.empty();
+    // Only emptiness matters here: ProcessPositiveFrontier recomputes the
+    // rows when the tuple is resolved, and one ambiguous tuple settles it.
+    if (!any_ambiguous) {
+      any_ambiguous = AnyMoreSpecificRow(snap, atom.rel, ft.data);
+    }
     pf.tuples.push_back(std::move(ft));
   }
 
@@ -369,18 +371,11 @@ void Update::ProcessPositiveFrontier(Database* db, FrontierAgent* agent,
     if (options_.log_reads) {
       res->reads.push_back(ReadQueryRecord::MoreSpecific(ft.rel, ft.data));
     }
+    bool exact = false;
     FindMoreSpecificRows(snap, ft.rel, ft.data, /*exclude_equal=*/false,
-                         &ft.more_specific, &candidates_scratch_);
+                         &ft.more_specific, &exact);
 
     // An exact copy in the database satisfies this atom outright.
-    bool exact = false;
-    for (RowId row : ft.more_specific) {
-      const TupleData* stored = snap.VisibleData(ft.rel, row);
-      if (stored != nullptr && *stored == ft.data) {
-        exact = true;
-        break;
-      }
-    }
     if (exact) {
       pf.tuples.erase(pf.tuples.begin());
       continue;

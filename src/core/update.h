@@ -224,8 +224,6 @@ class Update {
   // Step-level staging for the batched violation detection (capacity
   // amortizes across the chase).
   std::vector<Violation> detect_scratch_;
-  // Index-probe buffer for the correction queries (FindMoreSpecificRows).
-  std::vector<RowId> candidates_scratch_;
 
   std::vector<WriteOp> write_set_;
   std::deque<Violation> viol_queue_;

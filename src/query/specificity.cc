@@ -26,13 +26,17 @@ bool IsMoreSpecific(const TupleData& specific, const TupleData& general) {
   return true;
 }
 
-void FindMoreSpecificRows(const Snapshot& snap, RelationId rel,
-                          const TupleData& data, bool exclude_equal,
-                          std::vector<RowId>* out,
-                          std::vector<RowId>* candidates) {
+namespace {
+
+// Invokes fn(row, stored) for every visible row of `rel` whose content is
+// more specific than `data`, in ascending row order, until fn returns false.
+template <typename Fn>
+void ForEachMoreSpecific(const Snapshot& snap, RelationId rel,
+                         const TupleData& data, Fn&& fn) {
   // Candidates must agree with every constant position (f is the identity
   // on constants), so the smallest constant column's bucket suffices; a
-  // constant no stored content carries rules every row out.
+  // constant no stored content carries rules every row out. Nothing writes
+  // during the walk, so the bucket is read in place.
   const std::vector<RowId>* cheapest = nullptr;
   for (size_t i = 0; i < data.size(); ++i) {
     if (!data[i].is_constant()) continue;
@@ -42,22 +46,48 @@ void FindMoreSpecificRows(const Snapshot& snap, RelationId rel,
       cheapest = bucket;
     }
   }
-  auto consider = [&](RowId row, const TupleData& stored) {
-    if (exclude_equal && stored == data) return;
-    if (IsMoreSpecific(stored, data)) out->push_back(row);
-  };
   if (cheapest != nullptr) {
-    candidates->clear();
-    VersionedRelation::AppendCandidates(*cheapest, candidates);
-    for (RowId row : *candidates) {
+    for (RowId row : *cheapest) {
       const TupleData* stored = snap.VisibleData(rel, row);
-      if (stored != nullptr) consider(row, *stored);
+      if (stored != nullptr && IsMoreSpecific(*stored, data) &&
+          !fn(row, *stored)) {
+        return;
+      }
     }
-  } else {
-    // All-null tuple: every row is a potential match; scan.
-    snap.ForEachVisible(
-        rel, [&](RowId row, const TupleData& stored) { consider(row, stored); });
+    return;
   }
+  // All-null tuple: every row is a potential match; scan.
+  snap.ForEachVisible(rel, [&](RowId row, const TupleData& stored) -> bool {
+    return !IsMoreSpecific(stored, data) || fn(row, stored);
+  });
+}
+
+}  // namespace
+
+void FindMoreSpecificRows(const Snapshot& snap, RelationId rel,
+                          const TupleData& data, bool exclude_equal,
+                          std::vector<RowId>* out, bool* exact) {
+  if (exact != nullptr) *exact = false;
+  const bool check_equal = exclude_equal || exact != nullptr;
+  ForEachMoreSpecific(snap, rel, data,
+                      [&](RowId row, const TupleData& stored) {
+                        if (check_equal && stored == data) {
+                          if (exact != nullptr) *exact = true;
+                          if (exclude_equal) return true;
+                        }
+                        out->push_back(row);
+                        return true;
+                      });
+}
+
+bool AnyMoreSpecificRow(const Snapshot& snap, RelationId rel,
+                        const TupleData& data) {
+  bool found = false;
+  ForEachMoreSpecific(snap, rel, data, [&](RowId, const TupleData&) {
+    found = true;
+    return false;
+  });
+  return found;
 }
 
 }  // namespace youtopia

@@ -17,15 +17,18 @@ bool IsMoreSpecific(const TupleData& specific, const TupleData& general);
 
 // The paper's correction query "find any t' in R more specific than t":
 // appends every visible row of `rel` whose content is more specific than
-// `data` (excluding rows whose content is literally equal when
-// `exclude_equal` is set, used when the tuple itself is already stored).
-// `candidates` is caller-owned scratch for the index probe (cleared here,
-// contents unspecified afterwards), so a chase step's repeated correction
-// queries reuse one buffer instead of allocating per call.
+// `data`, in ascending row order (excluding rows whose content is literally
+// equal when `exclude_equal` is set, used when the tuple itself is already
+// stored). When `exact` is non-null it is set to whether some visible row
+// equals `data` (an exact copy), found in the same pass.
 void FindMoreSpecificRows(const Snapshot& snap, RelationId rel,
                           const TupleData& data, bool exclude_equal,
-                          std::vector<RowId>* out,
-                          std::vector<RowId>* candidates);
+                          std::vector<RowId>* out, bool* exact = nullptr);
+
+// True iff some visible row of `rel` is more specific than `data`: the
+// correction query asked only for emptiness, stopping at the first match.
+bool AnyMoreSpecificRow(const Snapshot& snap, RelationId rel,
+                        const TupleData& data);
 
 }  // namespace youtopia
 

@@ -115,9 +115,9 @@ std::optional<RowId> Database::FindRowWithData(RelationId rel,
   CHECK_LT(rel, relations_.size());
   CHECK(!data.empty());
   // Every column is bound, so probe the smallest bucket: a value no stored
-  // content carries rules the tuple out with no walk at all. The whole
-  // bucket is walked (duplicates re-verified rather than deduped) so the
-  // answer is the lowest matching row whichever column was probed.
+  // content carries rules the tuple out with no walk at all. Buckets are
+  // ascending, so the first match is the lowest matching row whichever
+  // column was probed.
   const VersionedRelation& relation = relations_[rel];
   const std::vector<RowId>* cheapest = nullptr;
   for (size_t c = 0; c < data.size(); ++c) {
@@ -127,13 +127,11 @@ std::optional<RowId> Database::FindRowWithData(RelationId rel,
       cheapest = bucket;
     }
   }
-  std::optional<RowId> found;
   for (RowId row : *cheapest) {
-    if (found.has_value() && row >= *found) continue;
     const TupleData* visible = relation.VisibleData(row, reader);
-    if (visible != nullptr && *visible == data) found = row;
+    if (visible != nullptr && *visible == data) return row;
   }
-  return found;
+  return std::nullopt;
 }
 
 size_t Database::CountVisible(uint64_t reader) const {

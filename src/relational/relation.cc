@@ -21,13 +21,6 @@ bool ShouldRefreshSketches(size_t removals, size_t live_versions) {
 // this column set — precisely the skew a composite index exists to absorb.
 constexpr size_t kCompositeBuildBreakEven = 16;
 
-void SortUniqueSuffix(std::vector<RowId>* out, size_t start) {
-  std::sort(out->begin() + static_cast<ptrdiff_t>(start), out->end());
-  out->erase(std::unique(out->begin() + static_cast<ptrdiff_t>(start),
-                         out->end()),
-             out->end());
-}
-
 // Finalizer for the hot-fingerprint fold (murmur3-style avalanche): the
 // per-entry inputs (column, value hash) are structured, so each must be
 // scrambled before the order-independent XOR combine or adjacent columns
@@ -194,8 +187,10 @@ bool VersionedRelation::HasCompositeIndex(
 
 size_t VersionedRelation::IndexEntryCount() const {
   size_t n = 0;
-  for (const auto& idx : indexes_) {
-    for (const auto& [value, rows] : idx) n += rows.size();
+  for (const ValueIndex& idx : indexes_) {
+    idx.ForEach([&](const Value&, const std::vector<RowId>& rows) {
+      n += rows.size();
+    });
   }
   for (const CompositeIndex& index : composites_) {
     for (const auto& [key, rows] : index.buckets) n += rows.size();
@@ -206,25 +201,17 @@ size_t VersionedRelation::IndexEntryCount() const {
 void VersionedRelation::CompactIndexes() {
   for (auto& idx : indexes_) idx.clear();
   for (CompositeIndex& index : composites_) index.buckets.clear();
+  // Rows in ascending order: every bucket edit is an append or a no-op.
   for (RowId row = 0; row < rows_.size(); ++row) {
     for (const TupleVersion& v : rows_[row].versions) {
       if (v.kind == WriteKind::kDelete) continue;
       for (size_t c = 0; c < arity_; ++c) {
-        std::vector<RowId>& bucket = indexes_[c][v.data[c]];
-        if (bucket.empty() || bucket.back() != row) bucket.push_back(row);
+        InsertIntoBucket(indexes_[c].FindOrInsert(v.data[c]), row);
       }
       for (CompositeIndex& index : composites_) {
         if (index.built) IndexDataComposite(index, row, v.data);
       }
     }
-  }
-  // IndexData only guards against consecutive duplicates; a full rebuild can
-  // afford exact buckets.
-  for (auto& idx : indexes_) {
-    for (auto& [value, rows] : idx) SortUniqueSuffix(&rows, 0);
-  }
-  for (CompositeIndex& index : composites_) {
-    for (auto& [key, rows] : index.buckets) SortUniqueSuffix(&rows, 0);
   }
   RefreshSketches();
 }
@@ -235,9 +222,10 @@ void VersionedRelation::RefreshSketches() {
   // the exact high-water mark.
   for (size_t c = 0; c < arity_; ++c) {
     sketches_[c].Clear();
-    for (const auto& [value, rows] : indexes_[c]) {
-      sketches_[c].OfferExact(value, rows.size());
-    }
+    indexes_[c].ForEach(
+        [&](const Value& value, const std::vector<RowId>& rows) {
+          sketches_[c].OfferExact(value, rows.size());
+        });
   }
   RecomputeHotFingerprint();
   removals_since_refresh_ = 0;
@@ -334,9 +322,22 @@ size_t VersionedRelation::RemoveVersionsAbove(uint64_t threshold) {
   return removed;
 }
 
+bool VersionedRelation::InsertIntoBucket(std::vector<RowId>& bucket,
+                                         RowId row) {
+  if (bucket.empty() || bucket.back() < row) {
+    bucket.push_back(row);  // the common case: the newest row
+    return true;
+  }
+  auto it = std::lower_bound(bucket.begin(), bucket.end(), row);
+  if (*it == row) return false;  // back() >= row, so `it` is in range
+  bucket.insert(it, row);
+  return true;
+}
+
 bool VersionedRelation::EraseFromBucket(std::vector<RowId>& bucket,
                                         RowId row) {
-  bucket.erase(std::remove(bucket.begin(), bucket.end(), row), bucket.end());
+  auto it = std::lower_bound(bucket.begin(), bucket.end(), row);
+  if (it != bucket.end() && *it == row) bucket.erase(it);
   return bucket.empty();
 }
 
@@ -357,10 +358,10 @@ void VersionedRelation::UnindexRemoved(RowId row) {
       if (still_carried([&](const TupleData& d) { return d[c] == value; })) {
         continue;
       }
-      auto it = indexes_[c].find(value);
+      std::vector<RowId>* bucket = indexes_[c].Find(value);
       // Absent when an earlier removed version of this row emptied it.
-      if (it != indexes_[c].end() && EraseFromBucket(it->second, row)) {
-        indexes_[c].erase(it);
+      if (bucket != nullptr && EraseFromBucket(*bucket, row)) {
+        indexes_[c].Erase(value);
       }
     }
     for (CompositeIndex& index : composites_) {
@@ -385,10 +386,9 @@ void VersionedRelation::UnindexRemoved(RowId row) {
 
 void VersionedRelation::IndexData(RowId row, const TupleData& data) {
   for (size_t c = 0; c < arity_; ++c) {
-    std::vector<RowId>& bucket = indexes_[c][data[c]];
-    // Avoid consecutive duplicates (common when a tuple is re-modified).
-    if (bucket.empty() || bucket.back() != row) {
-      bucket.push_back(row);
+    std::vector<RowId>& bucket = indexes_[c].FindOrInsert(data[c]);
+    // A row re-written to a value it already carries is indexed once.
+    if (InsertIntoBucket(bucket, row)) {
       // The bucket size at insert time is this value's exact multiplicity,
       // so the sketch entry for a tracked value is its exact bucket size —
       // which makes max_bucket() (the sketch's max count) the same bucket
@@ -414,11 +414,13 @@ void VersionedRelation::IndexData(RowId row, const TupleData& data) {
 
 void VersionedRelation::IndexDataComposite(CompositeIndex& index, RowId row,
                                            const TupleData& data) {
-  std::vector<Value> key;
-  key.reserve(index.columns.size());
-  for (size_t c : index.columns) key.push_back(data[c]);
-  std::vector<RowId>& bucket = index.buckets[std::move(key)];
-  if (bucket.empty() || bucket.back() != row) bucket.push_back(row);
+  key_scratch_.clear();
+  for (size_t c : index.columns) key_scratch_.push_back(data[c]);
+  auto it = index.buckets.find(key_scratch_);
+  if (it == index.buckets.end()) {
+    it = index.buckets.emplace(key_scratch_, std::vector<RowId>()).first;
+  }
+  InsertIntoBucket(it->second, row);
 }
 
 void VersionedRelation::RecomputeNewest(Row& row) {

@@ -10,6 +10,7 @@
 
 #include "relational/tuple.h"
 #include "relational/value.h"
+#include "relational/value_index.h"
 #include "relational/write.h"
 #include "util/topk_sketch.h"
 
@@ -97,19 +98,18 @@ struct StatsSnapshot {
 //
 // Rows are never physically removed; aborting an update unlinks its versions
 // (RemoveVersionsOf). Indexes come in two forms, both hash-based:
-//   * one per-column index, always present;
+//   * one per-column index, always present: a flat open-addressing
+//     ValueIndex (relational/value_index.h);
 //   * composite indexes over column sets, built lazily on demand
 //     (EnsureCompositeIndex) for the probes compiled query plans ask for.
 // A bucket holds exactly the rows with some *stored* content version
-// (insert or modify) carrying its key: writes append, and removals (abort
-// undo, experiment rewind) take a row out of every bucket no surviving
-// content version of it still carries, dropping buckets that empty, so
-// distinct_values() is exact. The indexes stay stale-tolerant only for
-// versions the reader cannot see (another reader's versions, superseded or
-// deleted content): a candidate row must be re-verified against the version
-// visible to the reader. A bucket may list a row more than once (a row
-// re-written to a value it carried before, with other rows indexed under
-// that value in between); the probes dedup.
+// (insert or modify) carrying its key, each once, in ascending order: writes
+// append or insert in place, and removals (abort undo, experiment rewind)
+// take a row out of every bucket no surviving content version of it still
+// carries, dropping buckets that empty, so distinct_values() is exact. The
+// indexes stay stale-tolerant only for versions the reader cannot see
+// (another reader's versions, superseded or deleted content): a candidate
+// row must be re-verified against the version visible to the reader.
 //
 // Threading — the per-shard write ownership invariant: a relation has at
 // most one owner thread at a time (the shard worker its tgd-closure
@@ -166,7 +166,7 @@ class VersionedRelation {
     return visible_rows_.load(std::memory_order_relaxed);
   }
 
-  // Buckets in the per-column hash index: the distinct values the column
+  // Buckets in the per-column index: the distinct values the column
   // holds across every stored content version (exact; removals drop the
   // buckets they empty).
   size_t distinct_values(size_t column) const {
@@ -251,29 +251,23 @@ class VersionedRelation {
   // version carries it. One hash lookup serves both sizing a probe (the
   // bucket size upper-bounds its candidates) and fetching it
   // (AppendCandidates), so an executor choosing the cheapest of several
-  // probes never hashes a key twice. The bucket may repeat a row and list
-  // rows whose content the reader cannot see; it is invalidated by the next
-  // write or removal.
+  // probes never hashes a key twice. The bucket lists each row once, in
+  // ascending order, and may list rows whose content the reader cannot see;
+  // it is invalidated by the next write or removal.
   const std::vector<RowId>* FindBucket(size_t column,
                                        const Value& value) const {
     CHECK_LT(column, indexes_.size());
-    auto it = indexes_[column].find(value);
-    return it == indexes_[column].end() ? nullptr : &it->second;
+    return indexes_[column].Find(value);
   }
 
-  // Appends `bucket`'s rows to `out`, each at most once, in ascending order
-  // (buckets may hold a row several times; callers then resolve each row's
-  // visibility once). Templated over the output vector so executors can
-  // collect candidates into arena-backed scratch (util/arena.h) as well as
-  // plain std::vectors.
+  // Appends `bucket`'s rows to `out` (each once, ascending: the bucket
+  // invariant). Templated over the output vector so executors can collect
+  // candidates into arena-backed scratch (util/arena.h) as well as plain
+  // std::vectors.
   template <typename RowIdVec>
   static void AppendCandidates(const std::vector<RowId>& bucket,
                                RowIdVec* out) {
-    const auto start =
-        static_cast<typename RowIdVec::difference_type>(out->size());
     out->insert(out->end(), bucket.begin(), bucket.end());
-    std::sort(out->begin() + start, out->end());
-    out->erase(std::unique(out->begin() + start, out->end()), out->end());
   }
 
   // Appends to `out` the rows that may contain `value` in `column` (a
@@ -315,7 +309,7 @@ class VersionedRelation {
 
   // Probes the composite index over `columns` with `values` (parallel to
   // `columns`). Returns false if no such index has been built; otherwise
-  // appends the candidate rows (deduplicated, ascending; re-verify against
+  // appends the candidate rows (each once, ascending; re-verify against
   // the reader's visible version) and returns true. Templated like
   // CandidateRows.
   template <typename RowIdVec>
@@ -341,11 +335,10 @@ class VersionedRelation {
   // storage microbenchmark's drift measurement).
   size_t IndexEntryCount() const;
 
-  // Rebuilds every index from the stored versions, dropping duplicate
-  // entries within buckets, and rebuilds the sketches exactly (no
-  // high-water marks left over). Removals keep the buckets exact without
-  // it; this is an explicit operation for callers that want duplicate-free
-  // buckets and exact sketches at once. O(versions * arity).
+  // Rebuilds every index from the stored versions and the sketches exactly
+  // (no high-water marks left over). Writes and removals keep the buckets
+  // exact without it; this is an explicit operation for callers that want
+  // exact sketches and freshly sized index storage. O(versions * arity).
   void CompactIndexes();
 
   // Versions removed (abort undo / rewind) since the sketches were last
@@ -413,7 +406,9 @@ class VersionedRelation {
   // Takes `row` out of every bucket whose key some version in
   // removed_scratch_ carried and no surviving content version still does.
   void UnindexRemoved(RowId row);
-  // Drops one row's entries from a bucket; true if the bucket emptied.
+  // Adds `row` to a sorted bucket unless present; true if it was added.
+  static bool InsertIntoBucket(std::vector<RowId>& bucket, RowId row);
+  // Drops `row` from a sorted bucket; true if the bucket emptied.
   static bool EraseFromBucket(std::vector<RowId>& bucket, RowId row);
   // Rebuilds the column sketches from the buckets (one exact-weight offer
   // per bucket) and recomputes the hot fingerprint. O(distinct values).
@@ -463,12 +458,11 @@ class VersionedRelation {
   // max_bucket()/sketch()).
   std::vector<TopKSketch<Value>> sketches_;
   std::vector<Row> rows_;
-  // One hash index per column: value -> candidate rows.
-  std::vector<std::unordered_map<Value, std::vector<RowId>, ValueHash>>
-      indexes_;
+  // One index per column: value -> candidate rows.
+  std::vector<ValueIndex> indexes_;
   std::vector<CompositeIndex> composites_;
-  // Reused by the removal paths: the versions a removal unlinked, and a
-  // composite probe key.
+  // Reused scratch: the versions a removal unlinked, and a composite key
+  // (built per composite write and per composite unindex).
   std::vector<TupleVersion> removed_scratch_;
   std::vector<Value> key_scratch_;
 };

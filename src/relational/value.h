@@ -13,15 +13,22 @@
 namespace youtopia {
 
 // A database value is either a constant or a labeled null (the paper's
-// "variables" x1, x2, ...). Constants are interned symbols; a Value is a
-// small, trivially copyable (kind, id) pair.
+// "variables" x1, x2, ...). Constants are interned symbols; a Value packs
+// its kind and id into one machine word (kind in the top bit, id below it),
+// so tuples, binding slots and index keys are one word per value, and
+// equality and ordering are a single integer compare.
 enum class ValueKind : uint8_t { kConstant = 0, kNull = 1 };
 
 class Value {
  public:
+  // Ids occupy the low 63 bits. The all-ones word (the null with the largest
+  // id) is reserved as the empty-slot marker of ValueIndex, so ids stay
+  // strictly below kMaxId.
+  static constexpr uint64_t kMaxId = (uint64_t{1} << 63) - 1;
+
   // Default-constructed value is the invalid constant; only useful as a
   // placeholder before assignment.
-  constexpr Value() : id_(0), kind_(ValueKind::kConstant) {}
+  constexpr Value() : bits_(0) {}
 
   static constexpr Value Constant(uint64_t symbol_id) {
     return Value(ValueKind::kConstant, symbol_id);
@@ -29,27 +36,38 @@ class Value {
   static constexpr Value Null(uint64_t null_id) {
     return Value(ValueKind::kNull, null_id);
   }
+  // The value whose packed word is `bits` (the inverse of bits()).
+  static constexpr Value FromBits(uint64_t bits) { return Value(bits); }
 
-  ValueKind kind() const { return kind_; }
-  bool is_constant() const { return kind_ == ValueKind::kConstant; }
-  bool is_null() const { return kind_ == ValueKind::kNull; }
-  uint64_t id() const { return id_; }
+  constexpr ValueKind kind() const {
+    return static_cast<ValueKind>(bits_ >> 63);
+  }
+  constexpr bool is_constant() const { return (bits_ >> 63) == 0; }
+  constexpr bool is_null() const { return (bits_ >> 63) != 0; }
+  constexpr uint64_t id() const { return bits_ & kMaxId; }
+  // The packed word: kind << 63 | id.
+  constexpr uint64_t bits() const { return bits_; }
 
   friend bool operator==(const Value& a, const Value& b) {
-    return a.kind_ == b.kind_ && a.id_ == b.id_;
+    return a.bits_ == b.bits_;
   }
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
+  // Constants before nulls, then by id: the packed word's integer order.
   friend bool operator<(const Value& a, const Value& b) {
-    if (a.kind_ != b.kind_) return a.kind_ < b.kind_;
-    return a.id_ < b.id_;
+    return a.bits_ < b.bits_;
   }
 
  private:
-  constexpr Value(ValueKind kind, uint64_t id) : id_(id), kind_(kind) {}
+  constexpr explicit Value(uint64_t bits) : bits_(bits) {}
+  constexpr Value(ValueKind kind, uint64_t id)
+      : bits_(static_cast<uint64_t>(kind) << 63 | id) {
+    DCHECK(id < kMaxId);
+  }
 
-  uint64_t id_;
-  ValueKind kind_;
+  uint64_t bits_;
 };
+
+static_assert(sizeof(Value) == 8, "a Value is one machine word");
 
 struct ValueHash {
   size_t operator()(const Value& v) const {

@@ -230,8 +230,8 @@ TEST(EvaluatorTest, DuplicateAndStaleIndexCandidatesYieldOneMatch) {
 
   std::vector<RowId> candidates;
   db.relation(r).CandidateRows(0, a, &candidates);
-  // The bucket holds row0 twice (re-indexed by the null replacement) plus
-  // the stale row1 entry; CandidateRows dedups per call, so row0 is
+  // The bucket holds row0 once (the null replacement re-indexed it under a
+  // value it already carried) plus the stale row1 entry, so row0 is
   // visibility-resolved once, and only staleness is left to the caller.
   EXPECT_EQ(candidates.size(), 2u);  // row0, row1 (stale)
 

@@ -125,12 +125,11 @@ TEST(VersionedRelationTest, ForEachVisibleStopsWhenCallbackReturnsFalse) {
   EXPECT_EQ(visited, 3u);
 }
 
-TEST(VersionedRelationTest, RewritingSameValueDedupedPerProbe) {
-  // Re-writing the same value into one column duplicates stored index
-  // entries when another row was indexed under that value in between (the
-  // consecutive-duplicate guard in IndexData only sees the bucket tail).
-  // The stored bucket grows — IndexEntryCount shows the drift — but
-  // CandidateRows dedups per call so each row is visibility-resolved once.
+TEST(VersionedRelationTest, RewritingSameValueKeepsOneEntryPerRow) {
+  // Re-writing the same value into one column, with another row indexed
+  // under that value in between, adds no index entry: buckets hold each row
+  // once, in ascending order. Each modify adds exactly one entry (its new
+  // column-1 value); column 0's bucket stays {r0, r1}.
   VersionedRelation rel(2);
   const RowId r0 = rel.AppendInsertRow(0, 1, Row({7, 100}));
   const RowId r1 = rel.AppendInsertRow(0, 2, Row({7, 200}));
@@ -140,18 +139,19 @@ TEST(VersionedRelationTest, RewritingSameValueDedupedPerProbe) {
     rel.AppendVersion(r0, u, seq++, WriteKind::kModify, Row({7, 100 + u}));
     rel.AppendVersion(r1, u, seq++, WriteKind::kModify, Row({7, 200 + u}));
   }
-  EXPECT_GT(rel.IndexEntryCount(), entries_before + 8);  // duplicates stored
-  std::vector<RowId> rows;
-  rel.CandidateRows(0, Value::Constant(7), &rows);
-  ASSERT_EQ(rows.size(), 2u);  // but probes report each row once
-  EXPECT_EQ(rows[0], r0);
-  EXPECT_EQ(rows[1], r1);
+  EXPECT_EQ(rel.IndexEntryCount(), entries_before + 8);
+  const std::vector<RowId>* bucket = rel.FindBucket(0, Value::Constant(7));
+  ASSERT_NE(bucket, nullptr);
+  EXPECT_EQ(*bucket, (std::vector<RowId>{r0, r1}));
+  EXPECT_EQ(rel.sketch(0).Estimate(Value::Constant(7)), 2u)
+      << "a re-indexed row must not inflate the bucket's sketch count";
 }
 
 TEST(VersionedRelationTest, IndexEntryCountGrowsMonotonicallyOnRewrites) {
-  // Documents the append-only write cost: every modify re-indexes the row's
-  // full content, and only removals reclaim entries, so IndexEntryCount is
-  // monotone in the number of writes even when content repeats.
+  // Documents the write cost: every modify indexes the row's new content
+  // (here a fresh column-1 value; column 0's value the row already carries
+  // adds nothing), and only removals reclaim entries, so IndexEntryCount
+  // grows with every write that brings a new value.
   VersionedRelation rel(2);
   const RowId r0 = rel.AppendInsertRow(0, 1, Row({7, 0}));
   const RowId r1 = rel.AppendInsertRow(0, 2, Row({7, 1}));

@@ -50,10 +50,10 @@ TEST(SpecificityTest, DifferentArityNeverComparable) {
 }
 
 TEST(SpecificityTest, DuplicateAndStaleIndexCandidatesReportRowOnce) {
-  // FindMoreSpecificRows fetches candidates through the append-only column
-  // index, which can hand back the same row twice (re-written same value)
-  // and rows that are no longer visible (deleted). Each surviving row must
-  // be reported exactly once.
+  // FindMoreSpecificRows fetches candidates through the column index, whose
+  // buckets list a row once even when it was re-indexed under the same value
+  // (null replacement) but still list rows that are no longer visible
+  // (deleted). Each surviving row must be reported exactly once.
   Database db;
   const RelationId r = *db.CreateRelation("R", {"a", "b"});
   const Value a = db.InternConstant("A");
@@ -69,13 +69,11 @@ TEST(SpecificityTest, DuplicateAndStaleIndexCandidatesReportRowOnce) {
 
   std::vector<RowId> candidates;
   db.relation(r).CandidateRows(0, a, &candidates);
-  ASSERT_EQ(candidates.size(), 2u);  // row0 (deduped per call), row1 (stale)
+  ASSERT_EQ(candidates.size(), 2u);  // row0 (indexed once), row1 (stale)
 
   Snapshot snap(&db, kReadLatest);
   std::vector<RowId> out;
-  std::vector<RowId> scratch;
-  FindMoreSpecificRows(snap, r, {a, b}, /*exclude_equal=*/false, &out,
-                       &scratch);
+  FindMoreSpecificRows(snap, r, {a, b}, /*exclude_equal=*/false, &out);
   ASSERT_EQ(out.size(), 1u);  // row 0 exactly once, row 1 filtered as stale
   EXPECT_EQ(out[0], w0[0].row);
 }
@@ -179,9 +177,7 @@ TEST(FindMoreSpecificTest, UsesConstantColumnIndex) {
   const TupleData probe{fig.Const("ABC"), fig.Const("Niagara Falls"),
                         fig.db.FreshNull()};
   std::vector<RowId> rows;
-  std::vector<RowId> scratch;
-  FindMoreSpecificRows(snap, fig.R, probe, /*exclude_equal=*/false, &rows,
-                       &scratch);
+  FindMoreSpecificRows(snap, fig.R, probe, /*exclude_equal=*/false, &rows);
   EXPECT_TRUE(rows.empty());
 }
 
@@ -191,9 +187,7 @@ TEST(FindMoreSpecificTest, FindsCandidatesForGeneralTuple) {
   // C(x) is generalized by every city.
   const TupleData probe{fig.db.FreshNull()};
   std::vector<RowId> rows;
-  std::vector<RowId> scratch;
-  FindMoreSpecificRows(snap, fig.C, probe, /*exclude_equal=*/false, &rows,
-                       &scratch);
+  FindMoreSpecificRows(snap, fig.C, probe, /*exclude_equal=*/false, &rows);
   EXPECT_EQ(rows.size(), 2u);
 }
 
@@ -203,11 +197,57 @@ TEST(FindMoreSpecificTest, ExcludeEqualSkipsExactCopy) {
   const TupleData probe = fig.Row({"Ithaca"});
   std::vector<RowId> with_equal;
   std::vector<RowId> without_equal;
-  std::vector<RowId> scratch;
-  FindMoreSpecificRows(snap, fig.C, probe, false, &with_equal, &scratch);
-  FindMoreSpecificRows(snap, fig.C, probe, true, &without_equal, &scratch);
+  FindMoreSpecificRows(snap, fig.C, probe, false, &with_equal);
+  FindMoreSpecificRows(snap, fig.C, probe, true, &without_equal);
   EXPECT_EQ(with_equal.size(), 1u);
   EXPECT_TRUE(without_equal.empty());
+}
+
+TEST(FindMoreSpecificTest, ReportsExactCopyFromTheSamePass) {
+  testing_util::Figure2 fig;
+  Snapshot snap(&fig.db, kReadLatest);
+  std::vector<RowId> rows;
+  bool exact = false;
+  FindMoreSpecificRows(snap, fig.C, fig.Row({"Ithaca"}), false, &rows, &exact);
+  EXPECT_TRUE(exact);
+  EXPECT_EQ(rows.size(), 1u);  // the copy itself is more specific
+  // A general tuple matches both cities, neither of them exactly.
+  rows.clear();
+  FindMoreSpecificRows(snap, fig.C, {fig.db.FreshNull()}, false, &rows,
+                       &exact);
+  EXPECT_FALSE(exact);
+  EXPECT_EQ(rows.size(), 2u);
+  // With exclude_equal the copy is still reported through the flag.
+  rows.clear();
+  FindMoreSpecificRows(snap, fig.C, fig.Row({"Ithaca"}), true, &rows, &exact);
+  EXPECT_TRUE(exact);
+  EXPECT_TRUE(rows.empty());
+}
+
+TEST(FindMoreSpecificTest, AnyMoreSpecificRowAgreesWithTheFullQuery) {
+  testing_util::Figure2 fig;
+  Snapshot snap(&fig.db, kReadLatest);
+  const TupleData probes[] = {
+      {fig.db.FreshNull()},  // all-null: the scan path
+      fig.Row({"Ithaca"}),   // an exact copy
+      {fig.Const("ABC"), fig.Const("Niagara Falls"), fig.db.FreshNull()},
+  };
+  const RelationId rels[] = {fig.C, fig.C, fig.R};
+  for (size_t i = 0; i < 3; ++i) {
+    std::vector<RowId> rows;
+    FindMoreSpecificRows(snap, rels[i], probes[i], false, &rows);
+    EXPECT_EQ(AnyMoreSpecificRow(snap, rels[i], probes[i]), !rows.empty())
+        << "probe " << i;
+  }
+  // Visibility applies: after both cities are deleted, nothing matches.
+  for (const char* city : {"Ithaca", "Syracuse"}) {
+    const RowId row = *fig.db.FindRowWithData(fig.C, fig.Row({city}), 0);
+    fig.db.Apply(WriteOp::Delete(fig.C, row), 5);
+  }
+  EXPECT_FALSE(AnyMoreSpecificRow(Snapshot(&fig.db, 5), fig.C,
+                                  {fig.db.FreshNull()}));
+  EXPECT_TRUE(AnyMoreSpecificRow(Snapshot(&fig.db, 4), fig.C,
+                                 {fig.db.FreshNull()}));
 }
 
 TEST(FindMoreSpecificTest, RespectsVisibility) {
@@ -217,8 +257,7 @@ TEST(FindMoreSpecificTest, RespectsVisibility) {
   const TupleData probe{fig.db.FreshNull()};
   std::vector<RowId> rows;
   Snapshot snap(&fig.db, 5);
-  std::vector<RowId> scratch;
-  FindMoreSpecificRows(snap, fig.C, probe, false, &rows, &scratch);
+  FindMoreSpecificRows(snap, fig.C, probe, false, &rows);
   EXPECT_EQ(rows.size(), 1u);  // only Syracuse remains
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "relational/tuple.h"
 
 namespace youtopia {
@@ -29,6 +31,49 @@ TEST(ValueTest, HashDistinguishesKinds) {
   ValueHash h;
   EXPECT_NE(h(Value::Constant(7)), h(Value::Null(7)));
   EXPECT_EQ(h(Value::Null(7)), h(Value::Null(7)));
+}
+
+TEST(ValueTest, IsOneWord) { EXPECT_EQ(sizeof(Value), 8u); }
+
+TEST(ValueTest, KindAndIdRoundTrip) {
+  for (uint64_t id : {uint64_t{0}, uint64_t{1}, uint64_t{1} << 32,
+                      Value::kMaxId - 1}) {
+    const Value c = Value::Constant(id);
+    const Value n = Value::Null(id);
+    EXPECT_EQ(c.kind(), ValueKind::kConstant);
+    EXPECT_EQ(n.kind(), ValueKind::kNull);
+    EXPECT_EQ(c.id(), id);
+    EXPECT_EQ(n.id(), id);
+    EXPECT_EQ(Value::FromBits(c.bits()), c);
+    EXPECT_EQ(Value::FromBits(n.bits()), n);
+  }
+  EXPECT_EQ(Value(), Value::Constant(0));
+}
+
+TEST(ValueTest, OrderIsConstantsBeforeNullsThenId) {
+  const std::vector<Value> ascending = {
+      Value::Constant(0), Value::Constant(1), Value::Constant(1u << 20),
+      Value::Constant(Value::kMaxId - 1), Value::Null(0), Value::Null(2),
+      Value::Null(Value::kMaxId - 1)};
+  for (size_t i = 0; i < ascending.size(); ++i) {
+    for (size_t j = 0; j < ascending.size(); ++j) {
+      EXPECT_EQ(ascending[i] < ascending[j], i < j) << i << " vs " << j;
+      EXPECT_EQ(ascending[i] == ascending[j], i == j) << i << " vs " << j;
+      EXPECT_EQ(ascending[i] != ascending[j], i != j) << i << " vs " << j;
+    }
+  }
+}
+
+TEST(ValueTest, HashIsPinned) {
+  // Composite-key hashes and relation hot fingerprints are built from
+  // ValueHash; it hashes (kind, id), independent of the packed layout.
+  ValueHash h;
+  EXPECT_EQ(h(Value::Constant(0)), size_t{0x9e3779b97f4a7c15ull});
+  EXPECT_EQ(h(Value::Constant(7)), size_t{0x9e3779b97f4a7c1cull});
+  EXPECT_EQ(h(Value::Null(7)), size_t{0x9e3779b97f4a7c5dull});
+  EXPECT_EQ(h(Value::Null(123456789)), size_t{0x9e3779b986a6496bull});
+  EXPECT_EQ(h(Value::Constant(Value::kMaxId - 1)),
+            size_t{0x1e3779b97f4a7c13ull});
 }
 
 TEST(SymbolTableTest, InternIsIdempotent) {
