@@ -371,9 +371,8 @@ void Update::ProcessPositiveFrontier(Database* db, FrontierAgent* agent,
     if (options_.log_reads) {
       res->reads.push_back(ReadQueryRecord::MoreSpecific(ft.rel, ft.data));
     }
-    bool exact = false;
-    FindMoreSpecificRows(snap, ft.rel, ft.data, /*exclude_equal=*/false,
-                         &ft.more_specific, &exact);
+    const bool exact = FindMoreSpecificRows(
+        snap, ft.rel, ft.data, /*exclude_equal=*/false, &ft.more_specific);
 
     // An exact copy in the database satisfies this atom outright.
     if (exact) {

@@ -150,9 +150,14 @@ bool Evaluator::ExecuteStep(const QueryPlan& plan, size_t step_index,
       any_bound_column = true;
     }
   }
+  // The rows to try: the composite path's copy, or the single-column
+  // bucket read in place (buckets are sorted and duplicate-free, and
+  // nothing writes while a query runs).
+  const RowId* first = scratch.candidates.data();
+  const RowId* last = first + scratch.candidates.size();
   if (!probed) {
     // Single-column path: probe the cheapest bound column. One lookup per
-    // column both sizes the bucket and hands it over for the copy.
+    // column both sizes the bucket and hands it over.
     const std::vector<RowId>* best_bucket = nullptr;
     for (size_t c : step.probe_columns) {
       const Value* v = ProbeValue(atom.terms[c], binding);
@@ -168,12 +173,14 @@ bool Evaluator::ExecuteStep(const QueryPlan& plan, size_t step_index,
       }
     }
     if (best_bucket != nullptr) {
-      VersionedRelation::AppendCandidates(*best_bucket, &scratch.candidates);
+      first = best_bucket->data();
+      last = first + best_bucket->size();
     }
   }
 
   if (any_bound_column) {
-    for (RowId row : scratch.candidates) {
+    for (const RowId* it = first; it != last; ++it) {
+      const RowId row = *it;
       const TupleData* data = relation.VisibleData(row, snap_.reader());
       if (data == nullptr) continue;  // stale index entry
       ++rows_examined_;

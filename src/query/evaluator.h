@@ -48,8 +48,10 @@ using MatchCallback =
 //
 // Not reentrant: the scratch frames are reused across executions, so a
 // callback must not invoke the same Evaluator instance again (nested
-// queries construct their own, as all call sites do). Two evaluators may
-// share one arena — allocation only bumps, never rewinds, mid-step.
+// queries construct their own, as all call sites do). Nor may it write to
+// the database: single-column candidates are read from the index bucket in
+// place. Two evaluators may share one arena — allocation only bumps, never
+// rewinds, mid-step.
 class Evaluator {
  public:
   explicit Evaluator(const Snapshot& snap, Arena* arena = nullptr)

@@ -64,20 +64,20 @@ void ForEachMoreSpecific(const Snapshot& snap, RelationId rel,
 
 }  // namespace
 
-void FindMoreSpecificRows(const Snapshot& snap, RelationId rel,
+bool FindMoreSpecificRows(const Snapshot& snap, RelationId rel,
                           const TupleData& data, bool exclude_equal,
-                          std::vector<RowId>* out, bool* exact) {
-  if (exact != nullptr) *exact = false;
-  const bool check_equal = exclude_equal || exact != nullptr;
+                          std::vector<RowId>* out) {
+  bool exact = false;
   ForEachMoreSpecific(snap, rel, data,
                       [&](RowId row, const TupleData& stored) {
-                        if (check_equal && stored == data) {
-                          if (exact != nullptr) *exact = true;
+                        if (stored == data) {
+                          exact = true;
                           if (exclude_equal) return true;
                         }
                         out->push_back(row);
                         return true;
                       });
+  return exact;
 }
 
 bool AnyMoreSpecificRow(const Snapshot& snap, RelationId rel,

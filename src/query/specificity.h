@@ -19,11 +19,11 @@ bool IsMoreSpecific(const TupleData& specific, const TupleData& general);
 // appends every visible row of `rel` whose content is more specific than
 // `data`, in ascending row order (excluding rows whose content is literally
 // equal when `exclude_equal` is set, used when the tuple itself is already
-// stored). When `exact` is non-null it is set to whether some visible row
-// equals `data` (an exact copy), found in the same pass.
-void FindMoreSpecificRows(const Snapshot& snap, RelationId rel,
+// stored). Returns whether some visible row equals `data` (an exact copy),
+// found in the same pass.
+bool FindMoreSpecificRows(const Snapshot& snap, RelationId rel,
                           const TupleData& data, bool exclude_equal,
-                          std::vector<RowId>* out, bool* exact = nullptr);
+                          std::vector<RowId>* out);
 
 // True iff some visible row of `rel` is more specific than `data`: the
 // correction query asked only for emptiness, stopping at the first match.

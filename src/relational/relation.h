@@ -249,9 +249,9 @@ class VersionedRelation {
 
   // The `column` index bucket for `value`, or nullptr when no stored content
   // version carries it. One hash lookup serves both sizing a probe (the
-  // bucket size upper-bounds its candidates) and fetching it
-  // (AppendCandidates), so an executor choosing the cheapest of several
-  // probes never hashes a key twice. The bucket lists each row once, in
+  // bucket size upper-bounds its candidates) and fetching it, so an
+  // executor choosing the cheapest of several probes never hashes a key
+  // twice. The bucket lists each row once, in
   // ascending order, and may list rows whose content the reader cannot see;
   // it is invalidated by the next write or removal.
   const std::vector<RowId>* FindBucket(size_t column,
@@ -260,22 +260,13 @@ class VersionedRelation {
     return indexes_[column].Find(value);
   }
 
-  // Appends `bucket`'s rows to `out` (each once, ascending: the bucket
-  // invariant). Templated over the output vector so executors can collect
-  // candidates into arena-backed scratch (util/arena.h) as well as plain
-  // std::vectors.
-  template <typename RowIdVec>
-  static void AppendCandidates(const std::vector<RowId>& bucket,
-                               RowIdVec* out) {
-    out->insert(out->end(), bucket.begin(), bucket.end());
-  }
-
-  // Appends to `out` the rows that may contain `value` in `column` (a
-  // FindBucket + AppendCandidates convenience).
+  // Appends to `out` the rows that may contain `value` in `column` (each
+  // once, ascending). Templated over the output vector so executors can
+  // collect candidates into arena-backed scratch (util/arena.h).
   template <typename RowIdVec>
   void CandidateRows(size_t column, const Value& value, RowIdVec* out) const {
     if (const std::vector<RowId>* bucket = FindBucket(column, value)) {
-      AppendCandidates(*bucket, out);
+      out->insert(out->end(), bucket->begin(), bucket->end());
     }
   }
 
@@ -321,7 +312,9 @@ class VersionedRelation {
       if (index.columns != columns) continue;
       if (!index.built) return false;  // deferred: caller falls back
       auto it = index.buckets.find(values);
-      if (it != index.buckets.end()) AppendCandidates(it->second, out);
+      if (it != index.buckets.end()) {
+        out->insert(out->end(), it->second.begin(), it->second.end());
+      }
       return true;
     }
     return false;

@@ -207,20 +207,18 @@ TEST(FindMoreSpecificTest, ReportsExactCopyFromTheSamePass) {
   testing_util::Figure2 fig;
   Snapshot snap(&fig.db, kReadLatest);
   std::vector<RowId> rows;
-  bool exact = false;
-  FindMoreSpecificRows(snap, fig.C, fig.Row({"Ithaca"}), false, &rows, &exact);
-  EXPECT_TRUE(exact);
+  EXPECT_TRUE(FindMoreSpecificRows(snap, fig.C, fig.Row({"Ithaca"}), false,
+                                   &rows));
   EXPECT_EQ(rows.size(), 1u);  // the copy itself is more specific
   // A general tuple matches both cities, neither of them exactly.
   rows.clear();
-  FindMoreSpecificRows(snap, fig.C, {fig.db.FreshNull()}, false, &rows,
-                       &exact);
-  EXPECT_FALSE(exact);
+  EXPECT_FALSE(
+      FindMoreSpecificRows(snap, fig.C, {fig.db.FreshNull()}, false, &rows));
   EXPECT_EQ(rows.size(), 2u);
-  // With exclude_equal the copy is still reported through the flag.
+  // With exclude_equal the copy is still reported through the return value.
   rows.clear();
-  FindMoreSpecificRows(snap, fig.C, fig.Row({"Ithaca"}), true, &rows, &exact);
-  EXPECT_TRUE(exact);
+  EXPECT_TRUE(
+      FindMoreSpecificRows(snap, fig.C, fig.Row({"Ithaca"}), true, &rows));
   EXPECT_TRUE(rows.empty());
 }
 
