@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <optional>
 
+#include "util/span.h"
+
 namespace youtopia {
 namespace {
 
@@ -153,8 +155,8 @@ bool Evaluator::ExecuteStep(const QueryPlan& plan, size_t step_index,
   // The rows to try: the composite path's copy, or the single-column
   // bucket read in place (buckets are sorted and duplicate-free, and
   // nothing writes while a query runs).
-  const RowId* first = scratch.candidates.data();
-  const RowId* last = first + scratch.candidates.size();
+  Span<const RowId> rows_to_try(scratch.candidates.data(),
+                                scratch.candidates.size());
   if (!probed) {
     // Single-column path: probe the cheapest bound column. One lookup per
     // column both sizes the bucket and hands it over.
@@ -172,15 +174,11 @@ bool Evaluator::ExecuteStep(const QueryPlan& plan, size_t step_index,
         best_bucket = bucket;
       }
     }
-    if (best_bucket != nullptr) {
-      first = best_bucket->data();
-      last = first + best_bucket->size();
-    }
+    if (best_bucket != nullptr) rows_to_try = *best_bucket;
   }
 
   if (any_bound_column) {
-    for (const RowId* it = first; it != last; ++it) {
-      const RowId row = *it;
+    for (RowId row : rows_to_try) {
       const TupleData* data = relation.VisibleData(row, snap_.reader());
       if (data == nullptr) continue;  // stale index entry
       ++rows_examined_;

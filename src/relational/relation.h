@@ -251,9 +251,9 @@ class VersionedRelation {
   // version carries it. One hash lookup serves both sizing a probe (the
   // bucket size upper-bounds its candidates) and fetching it, so an
   // executor choosing the cheapest of several probes never hashes a key
-  // twice. The bucket lists each row once, in
-  // ascending order, and may list rows whose content the reader cannot see;
-  // it is invalidated by the next write or removal.
+  // twice. The bucket lists each row once, in ascending order, and may list
+  // rows whose content the reader cannot see; it is invalidated by the next
+  // write or removal.
   const std::vector<RowId>* FindBucket(size_t column,
                                        const Value& value) const {
     CHECK_LT(column, indexes_.size());

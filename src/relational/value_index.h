@@ -37,7 +37,6 @@ class ValueIndex {
   ValueIndex() = default;
 
   size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
   // Slots in the table: 0 before the first insert, then a power of two that
   // doubles whenever an insert would push the load past 3/4.
   size_t capacity() const { return keys_.size(); }

@@ -192,7 +192,7 @@ TEST_P(ValueIndexDifferentialTest, MatchesUnorderedMap) {
     ref.erase(v);
     if (ref.size() % 13 == 0) ExpectSameContents(index, ref);
   }
-  EXPECT_TRUE(index.empty());
+  EXPECT_EQ(index.size(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ValueIndexDifferentialTest,
